@@ -15,24 +15,22 @@ from .channel import (
     ChannelDistribution,
     IbcScenario,
     PrecoderSet,
-    StackedUserView,
     UserConfig,
     check_precoders,
     exp_profile_cov,
-    expected_gram,
     load_bundle,
     load_demo_bundle,
     load_scenario,
     sample_channel,
-    sample_stacked,
     save_scenario,
-    stack_user,
+    stream_spec,
     uniform_power_precoders,
 )
 from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
     DomainError,
+    EwsrgapError,
     IndefiniteMatrix,
     IndexOutOfRange,
     NoConvergence,
@@ -94,22 +92,20 @@ __all__ = [
     "ChannelDistribution",
     "IbcScenario",
     "PrecoderSet",
-    "StackedUserView",
     "UserConfig",
     "check_precoders",
     "exp_profile_cov",
-    "expected_gram",
     "load_bundle",
     "load_demo_bundle",
     "load_scenario",
     "sample_channel",
-    "sample_stacked",
     "save_scenario",
-    "stack_user",
+    "stream_spec",
     "uniform_power_precoders",
     "DegenerateSpectrum",
     "DimensionMismatch",
     "DomainError",
+    "EwsrgapError",
     "IndefiniteMatrix",
     "IndexOutOfRange",
     "NoConvergence",

@@ -3,14 +3,17 @@
 A channel is distributed as H = mean + W @ sqrt(cov_t) with W i.i.d.
 complex Gaussian of unit variance (1/2 per real component), so that
 E (H - mean)(H - mean)^H = tr(cov_t) I and E (H - mean)^H (H - mean)
-= N rows * cov_t. Scenarios couple several base stations and users;
-per-user stacked views collect every link a user's rate depends on.
+= N rows * cov_t. Scenarios couple several base stations and users.
+A user's rates depend on its links only through the precoded streams
+of the cells that serve someone; `stream_spec` describes them as one
+GapSpec whose width is the number of streams, not of antennas.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +21,12 @@ from . import linalg
 from .errors import (
     DimensionMismatch,
     DomainError,
+    EwsrgapError,
     IndexOutOfRange,
     ParseError,
     ValidationError,
 )
+from .gap import GapSpec
 from .mc import complex_normal
 
 
@@ -49,14 +54,6 @@ class ChannelDistribution:
             )
 
     @property
-    def n_rx(self) -> int:
-        return self.mean.shape[0]
-
-    @property
-    def n_tx(self) -> int:
-        return self.mean.shape[1]
-
-    @property
     def cov_sqrt(self) -> np.ndarray:
         return self._sqrt
 
@@ -65,17 +62,6 @@ def sample_channel(dist: ChannelDistribution, rng: np.random.Generator) -> np.nd
     """One channel realization H = mean + W @ sqrt(cov_t)."""
     W = complex_normal(rng, dist.mean.shape)
     return dist.mean + W @ dist.cov_sqrt
-
-
-def expected_gram(dist: ChannelDistribution, Q) -> np.ndarray:
-    """E[H Q H^H] = mean Q mean^H + tr(Q cov_t) I for Hermitian PSD Q."""
-    Q = np.asarray(Q, dtype=complex)
-    M = dist.n_tx
-    if Q.shape != (M, M):
-        raise DimensionMismatch(f"Q must be {M} x {M}, got {Q.shape}")
-    G = dist.mean @ Q @ dist.mean.conj().T
-    G = G + np.trace(Q @ dist.cov_t).real * np.eye(dist.n_rx)
-    return 0.5 * (G + G.conj().T)
 
 
 def exp_profile_cov(M: int, r: float = 0.5) -> np.ndarray:
@@ -160,10 +146,6 @@ class PrecoderSet:
     def __post_init__(self):
         self.matrices = [np.asarray(G, dtype=complex) for G in self.matrices]
 
-    def Q_user(self, k: int) -> np.ndarray:
-        G = self.matrices[k]
-        return G @ G.conj().T
-
 
 def check_precoders(scenario: IbcScenario, precoders: PrecoderSet) -> None:
     """Validate shapes and per-BS power against the scenario's budgets."""
@@ -207,103 +189,52 @@ def uniform_power_precoders(scenario: IbcScenario) -> PrecoderSet:
     return ps
 
 
-@dataclass
-class StackedUserView:
-    """User k's stacked channel along with the block-diagonal operators.
+def _served_cells(scenario: IbcScenario, precoders: PrecoderSet):
+    """Every cell that serves someone, with its precoders side by side.
 
-    Block i (one per user, width M_{b_i}) carries the link from user k
-    to user i's serving BS, so users sharing a BS repeat the same
-    physical link. Q stacks every user's transmit covariance; Q_kbar
-    is Q with user k's own block zeroed. cov_bd is the block-diagonal
-    transmit covariance matching the stacking.
+    Returns ([(j, G_j), ...], own) where G_j holds the precoders of the
+    users cell j serves, in user order, and own[k] is the slice of user
+    k's streams among the columns of all G_j laid end to end.
     """
-
-    user: int
-    mean: np.ndarray
-    block_slices: list
-    block_bs: list
-    cov_blocks: list
-    Q: np.ndarray
-    Q_kbar: np.ndarray
-    cov_bd: np.ndarray
-    # one perturbation square root per distinct BS, keyed by BS index
-    bs_sqrt: dict = field(default_factory=dict)
-
-    def as_distribution(self) -> ChannelDistribution:
-        """The stacked (mean, cov) pair for expectation-only use.
-
-        Valid for expected Grams under any block-diagonal Q: the
-        repeated-link correlation between blocks never enters because
-        block-diagonal quadratic forms have no cross-block terms.
-        """
-        return ChannelDistribution(mean=self.mean, cov_t=self.cov_bd)
+    cells, own, width = [], [None] * scenario.n_users, 0
+    for j in range(scenario.n_cells):
+        served = [i for i, u in enumerate(scenario.users) if u.serving_bs == j]
+        if not served:
+            continue
+        for i in served:
+            own[i] = slice(width, width + scenario.users[i].streams)
+            width += scenario.users[i].streams
+        cells.append((j, np.concatenate([precoders.matrices[i] for i in served], axis=1)))
+    return cells, own
 
 
-def stack_user(scenario: IbcScenario, precoders: PrecoderSet, k: int) -> StackedUserView:
-    """Assemble user k's stacked mean, covariance blocks, Q and Q_kbar."""
+def stream_spec(scenario: IbcScenario, precoders: PrecoderSet, k: int):
+    """User k's links in the space of the precoded streams.
+
+    The precoded link F_kj = H_kj G_j has mean m_kj G_j and i.i.d. rows
+    CN(0, G_j^H C_kj G_j), so F = [F_kj]_j is described by the GapSpec
+    with mean [m_kj G_j]_j and covariance blkdiag(G_j^H C_kj G_j), over
+    the cells that serve someone. F F^H = sum_j H_kj Q_j H_kj^H is user
+    k's signal Gram. Returns (spec, own), own being the slice of user
+    k's own streams among the spec's columns.
+    """
     if not (0 <= k < scenario.n_users):
         raise IndexOutOfRange(f"user index {k} out of range")
     check_precoders(scenario, precoders)
-    widths = [scenario.bs_antennas[u.serving_bs] for u in scenario.users]
-    total = sum(widths)
-    N = scenario.users[k].rx_antennas
-    mean = np.zeros((N, total), dtype=complex)
-    Q = np.zeros((total, total), dtype=complex)
-    Qbar = np.zeros((total, total), dtype=complex)
-    cov_bd = np.zeros((total, total), dtype=complex)
-    slices, block_bs, cov_blocks = [], [], []
+    cells, own = _served_cells(scenario, precoders)
+    links = scenario.links[k]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
+        blocks = [G.conj().T @ links[j].cov_t @ G for j, G in cells]
+        mean = np.concatenate([links[j].mean @ G for j, G in cells], axis=1)
+    width = sum(B.shape[0] for B in blocks)
+    cov = np.zeros((width, width), dtype=complex)
     start = 0
-    for i, u in enumerate(scenario.users):
-        j = u.serving_bs
-        sl = slice(start, start + widths[i])
-        link = scenario.links[k][j]
-        mean[:, sl] = link.mean
-        Qi = precoders.Q_user(i)
-        Q[sl, sl] = Qi
-        if i != k:
-            Qbar[sl, sl] = Qi
-        cov_bd[sl, sl] = link.cov_t
-        slices.append(sl)
-        block_bs.append(j)
-        cov_blocks.append(link.cov_t)
-        start += widths[i]
-    bs_sqrt = {
-        j: scenario.links[k][j].cov_sqrt for j in sorted(set(block_bs))
-    }
-    return StackedUserView(
-        user=k,
-        mean=mean,
-        block_slices=slices,
-        block_bs=block_bs,
-        cov_blocks=cov_blocks,
-        Q=Q,
-        Q_kbar=Qbar,
-        cov_bd=cov_bd,
-        bs_sqrt=bs_sqrt,
-    )
-
-
-def sample_stacked(view: StackedUserView, rng: np.random.Generator) -> np.ndarray:
-    """One stacked realization; blocks sharing a BS reuse one draw."""
-    return sample_stacked_batch(view, rng, 1)[0]
-
-
-def sample_stacked_batch(view, rng: np.random.Generator, count: int) -> np.ndarray:
-    """count stacked realizations, drawing one W per distinct BS.
-
-    Draw order is ascending BS index, so results are reproducible for
-    a given generator state regardless of where the call happens.
-    """
-    N = view.mean.shape[0]
-    out = np.broadcast_to(view.mean, (count,) + view.mean.shape).copy()
-    pert = {}
-    for j in sorted(view.bs_sqrt):
-        S = view.bs_sqrt[j]
-        W = complex_normal(rng, (count, N, S.shape[0]))
-        pert[j] = W @ S
-    for sl, j in zip(view.block_slices, view.block_bs):
-        out[:, :, sl] += pert[j]
-    return out
+    for B in blocks:
+        cov[start : start + B.shape[0], start : start + B.shape[0]] = B
+        start += B.shape[0]
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise DomainError(f"precoded links of user {k} overflow the float range")
+    return GapSpec(mean, cov), own[k]
 
 
 # ---------------------------------------------------------------------------
@@ -315,25 +246,41 @@ def sample_stacked_batch(view, rng: np.random.Generator, count: int) -> np.ndarr
 # [re, im] pairs; a link mean of null stands for the zero matrix.
 
 
+def _integer(doc, key, field_name, low):
+    """doc[key] as an integer >= low; bools, an int subclass, are rejected."""
+    value = _require(doc, key, int, field_name)
+    if isinstance(value, bool) or value < low:
+        raise ParseError(f"expected an integer >= {low}", field=field_name)
+    return value
+
+
+def _finite(value, field_name) -> float:
+    """A JSON number as a finite float; bools, NaN and infinities are rejected."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ParseError("expected a finite number", field=field_name)
+
+
 def _decode_matrix(obj, field_name):
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ParseError("matrix must be a non-empty list of rows", field=field_name)
     width = len(obj[0])
     rows = []
-    for r, row in enumerate(obj):
+    for row in obj:
         if len(row) != width:
             raise ParseError("matrix rows have unequal lengths", field=field_name)
         vals = []
         for entry in row:
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(x, (int, float)) for x in entry)
-            ):
+            if not isinstance(entry, list) or len(entry) != 2:
                 raise ParseError(
                     "matrix entries must be [re, im] pairs", field=field_name
                 )
-            vals.append(complex(entry[0], entry[1]))
+            vals.append(complex(_finite(entry[0], field_name), _finite(entry[1], field_name)))
         rows.append(vals)
     return np.array(rows, dtype=complex)
 
@@ -375,8 +322,7 @@ def load_bundle(path):
     for j, cell in enumerate(cells):
         if not isinstance(cell, dict):
             raise ParseError("cell entries must be objects", field=f"cells[{j}]")
-        m = _require(cell, "antennas", int, field_name=f"cells[{j}].antennas")
-        bs_antennas.append(m)
+        bs_antennas.append(_integer(cell, "antennas", f"cells[{j}].antennas", 1))
 
     users_doc = _require(doc, "users", list)
     users = []
@@ -385,21 +331,18 @@ def load_bundle(path):
             raise ParseError("user entries must be objects", field=f"users[{k}]")
         users.append(
             UserConfig(
-                serving_bs=_require(u, "serving_bs", int, f"users[{k}].serving_bs"),
-                rx_antennas=_require(u, "rx_antennas", int, f"users[{k}].rx_antennas"),
-                streams=_require(u, "streams", int, f"users[{k}].streams"),
-                rate_weight=float(
-                    _require(u, "rate_weight", (int, float), f"users[{k}].rate_weight")
+                serving_bs=_integer(u, "serving_bs", f"users[{k}].serving_bs", 0),
+                rx_antennas=_integer(u, "rx_antennas", f"users[{k}].rx_antennas", 1),
+                streams=_integer(u, "streams", f"users[{k}].streams", 1),
+                rate_weight=_finite(
+                    _require(u, "rate_weight", object, f"users[{k}].rate_weight"),
+                    f"users[{k}].rate_weight",
                 ),
             )
         )
 
     budgets_doc = _require(doc, "power_budgets", list)
-    budgets = []
-    for j, P in enumerate(budgets_doc):
-        if not isinstance(P, (int, float)):
-            raise ParseError("power budgets must be numbers", field=f"power_budgets[{j}]")
-        budgets.append(float(P))
+    budgets = [_finite(P, f"power_budgets[{j}]") for j, P in enumerate(budgets_doc)]
 
     links_doc = _require(doc, "links", list)
     links = []
@@ -416,18 +359,21 @@ def load_bundle(path):
             )
             if entry.get("mean") is None:
                 n_rx = users[k].rx_antennas if k < len(users) else 0
-                mean = np.zeros((n_rx, cov.shape[0]), dtype=complex)
+                try:
+                    mean = np.zeros((n_rx, cov.shape[0]), dtype=complex)
+                except (ValueError, MemoryError) as exc:
+                    raise ValidationError(
+                        f"zero mean of users[{k}].rx_antennas rows cannot be allocated: {exc}"
+                    ) from exc
             else:
                 mean = _decode_matrix(entry["mean"], f"{fname}.mean")
             try:
                 link_row.append(ChannelDistribution(mean=mean, cov_t=cov))
-            except (DimensionMismatch, ValueError) as exc:
+            except EwsrgapError as exc:
                 raise ValidationError(f"link ({k},{j}) invalid: {exc}") from exc
         links.append(link_row)
 
-    seed = doc.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise ParseError("seed must be an integer", field="seed")
+    seed = _integer(doc, "seed", "seed", 0) if doc.get("seed") is not None else None
 
     scenario = IbcScenario(
         bs_antennas=bs_antennas,

@@ -24,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -32,19 +33,13 @@ import numpy as np
 
 from . import __version__
 from .channel import (
+    _decode_matrix,
     exp_profile_cov,
     load_bundle,
     load_demo_bundle,
     uniform_power_precoders,
 )
-from .errors import (
-    DegenerateSpectrum,
-    DimensionMismatch,
-    DomainError,
-    ParseError,
-    UnsupportedCase,
-    ValidationError,
-)
+from .errors import EwsrgapError, ParseError, UnsupportedCase, ValidationError
 from .gap import GapSpec, gamma_inf_miso_iid, gamma_rho, monotonicity_sweep, taylor_gamma2
 from .oracle import exact_e_log_miso_iid
 from .rates import ewsr_monte_carlo, sandwich_bounds
@@ -63,6 +58,21 @@ def _parse_int_list(text: str):
     return values
 
 
+def _at_least(kind, low):
+    """argparse type: a finite `kind` (int or float) no smaller than `low`."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}")
+        if not low <= value < math.inf:  # also false for NaN
+            raise argparse.ArgumentTypeError(f"must be finite and >= {low}, got {text}")
+        return value
+
+    return parse
+
+
 def _parse_grid(text: str) -> np.ndarray:
     """Either 'start:stop:step' (inclusive of stop) or a comma list."""
     try:
@@ -71,8 +81,12 @@ def _parse_grid(text: str) -> np.ndarray:
             if len(parts) != 3 or parts[2] <= 0:
                 raise ValueError
             start, stop, step = parts
-            return np.arange(start, stop + step / 2, step)
-        return np.array([float(t) for t in text.split(",") if t.strip()])
+            grid = np.arange(start, stop + step / 2, step)
+        else:
+            grid = np.array([float(t) for t in text.split(",") if t.strip()])
+        if not np.isfinite(grid).all():
+            raise ValueError
+        return grid
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected 'start:stop:step' or comma-separated numbers, got {text!r}"
@@ -91,26 +105,12 @@ def _load_cov_file(path) -> np.ndarray:
         doc = doc.get("cov_t", doc.get("cov"))
     if not isinstance(doc, list) or not doc:
         raise ParseError("covariance file must hold a matrix", field="cov_t")
-    rows = []
-    for row in doc:
-        if not isinstance(row, list) or len(row) != len(doc):
-            raise ParseError("covariance matrix must be square", field="cov_t")
-        vals = []
-        for entry in row:
-            if isinstance(entry, (int, float)):
-                vals.append(complex(entry))
-            elif (
-                isinstance(entry, list)
-                and len(entry) == 2
-                and all(isinstance(x, (int, float)) for x in entry)
-            ):
-                vals.append(complex(entry[0], entry[1]))
-            else:
-                raise ParseError(
-                    "entries must be numbers or [re, im] pairs", field="cov_t"
-                )
-        rows.append(vals)
-    return np.array(rows, dtype=complex)
+    if not all(isinstance(row, list) and len(row) == len(doc) for row in doc):
+        raise ParseError("covariance matrix must be square", field="cov_t")
+    # Real entries become [re, 0] pairs for the scenario decoder.
+    return _decode_matrix(
+        [[e if isinstance(e, list) else [e, 0.0] for e in row] for row in doc], "cov_t"
+    )
 
 
 def _fmt(v) -> str:
@@ -333,7 +333,7 @@ def _add_common(sub, samples_default: int):
                      help="write CSV here instead of stdout")
     sub.add_argument("--bits", action="store_true",
                      help="report rates in bits (log base 2) instead of nats")
-    sub.add_argument("--workers", type=int, default=1,
+    sub.add_argument("--workers", type=_at_least(int, 1), default=1,
                      help="thread count for Monte-Carlo chunks (results identical)")
 
 
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     f1 = sub.add_parser("fig1", help="gap vs SNR for zero-mean i.i.d. MISO")
     _add_common(f1, 20_000)
-    f1.add_argument("--seed", type=int, default=0)
+    f1.add_argument("--seed", type=_at_least(int, 0), default=0)
     f1.add_argument("--snr-db", type=_parse_grid, default=np.arange(-10.0, 51.0, 2.0),
                     metavar="GRID", help="'start:stop:step' or comma list; write "
                     "--snr-db=-10:50:2 when the start is negative (default -10:50:2)")
@@ -358,18 +358,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     f2 = sub.add_parser("fig2", help="second-order approximation vs Monte-Carlo gap")
     _add_common(f2, 20_000)
-    f2.add_argument("--seed", type=int, default=0)
+    f2.add_argument("--seed", type=_at_least(int, 0), default=0)
     f2.add_argument("--tx-antennas", type=_parse_int_list, default=[8, 16, 32, 64],
                     metavar="LIST", help="comma-separated antenna counts")
-    f2.add_argument("--rx-antennas", type=int, default=4)
-    f2.add_argument("--rho", type=float, default=1000.0)
+    f2.add_argument("--rx-antennas", type=_at_least(int, 1), default=4)
+    f2.add_argument("--rho", type=_at_least(float, 0.0), default=1000.0)
     f2.add_argument("--cov", default=None, metavar="PATH",
                     help="JSON covariance matrix (default: exponential profile r=0.5)")
     f2.set_defaults(func=cmd_fig2)
 
     sw = sub.add_parser("sandwich", help="surrogate +/- gap-limit bounds for a scenario")
     _add_common(sw, 50_000)
-    sw.add_argument("--seed", type=int, default=None,
+    sw.add_argument("--seed", type=_at_least(int, 0), default=None,
                     help="overrides a seed stored in the scenario file")
     sw.add_argument("--scenario", default=None, metavar="PATH",
                     help="scenario JSON (default: bundled 2-cell 4-user demo)")
@@ -382,12 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     vf = sub.add_parser("verify", help="run property suites")
     vf.add_argument("suite", choices=["theorems", "oracles", "all"])
-    vf.add_argument("--seed", type=int, default=0)
-    vf.add_argument("--scale", type=float, default=1.0,
+    vf.add_argument("--seed", type=_at_least(int, 0), default=0)
+    vf.add_argument("--scale", type=_at_least(float, 0.0), default=1.0,
                     help="multiplier on per-check sample counts")
     vf.add_argument("--out", default=None, metavar="PATH",
                     help="also write the rows as CSV")
-    vf.add_argument("--workers", type=int, default=1)
+    vf.add_argument("--workers", type=_at_least(int, 1), default=1)
     vf.set_defaults(func=cmd_verify)
     return p
 
@@ -403,15 +403,7 @@ def main(argv=None) -> int:
     except UnsupportedCase as exc:
         print(f"error: {exc} (use --method auto for automatic fallback)", file=sys.stderr)
         return 2
-    except (
-        ParseError,
-        ValidationError,
-        DomainError,
-        DimensionMismatch,
-        DegenerateSpectrum,
-        FileNotFoundError,
-        IsADirectoryError,
-    ) as exc:
+    except (EwsrgapError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,44 +1,49 @@
 """Exception taxonomy shared by all modules.
 
 Every error raised on purpose by this package is one of the classes
-below, so callers can catch by family (ValueError / IndexError /
+below. All of them derive from EwsrgapError, so callers can catch the
+whole package at once, by family (ValueError / IndexError /
 RuntimeError) or by exact type.
 """
 
 
-class DomainError(ValueError):
+class EwsrgapError(Exception):
+    """Base class of every error this package raises on purpose."""
+
+
+class DomainError(EwsrgapError, ValueError):
     """An argument is outside the mathematical domain of the operation."""
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(EwsrgapError, ValueError):
     """Matrix or vector shapes are inconsistent with each other."""
 
 
-class NotHermitian(ValueError):
+class NotHermitian(EwsrgapError, ValueError):
     """Input matrix deviates from its conjugate transpose beyond tolerance."""
 
 
-class NotPositiveDefinite(ValueError):
+class NotPositiveDefinite(EwsrgapError, ValueError):
     """A Hermitian matrix has a nonpositive pivot where HPD is required."""
 
 
-class IndefiniteMatrix(ValueError):
+class IndefiniteMatrix(EwsrgapError, ValueError):
     """A matrix required to be PSD has a significantly negative eigenvalue."""
 
 
-class NoConvergence(RuntimeError):
+class NoConvergence(EwsrgapError, RuntimeError):
     """An iterative kernel exhausted its iteration budget."""
 
 
-class DegenerateSpectrum(ValueError):
+class DegenerateSpectrum(EwsrgapError, ValueError):
     """Eigenvalues are equal or nearly equal where distinctness is required."""
 
 
-class UnsupportedCase(ValueError):
+class UnsupportedCase(EwsrgapError, ValueError):
     """The requested method is not valid for the given configuration."""
 
 
-class ParseError(ValueError):
+class ParseError(EwsrgapError, ValueError):
     """A document could not be parsed; carries location context."""
 
     def __init__(self, message, *, line=None, field=None):
@@ -54,9 +59,9 @@ class ParseError(ValueError):
         self.field = field
 
 
-class ValidationError(ValueError):
+class ValidationError(EwsrgapError, ValueError):
     """A parsed document violates a structural invariant, named in the message."""
 
 
-class IndexOutOfRange(IndexError):
+class IndexOutOfRange(EwsrgapError, IndexError):
     """A user or cell index is outside the scenario's range."""

@@ -40,7 +40,8 @@ def _check_hermitian(A: np.ndarray) -> np.ndarray:
             f"matrix deviates from Hermitian by {dev:.3e} (tolerance {HERM_RTOL * scale:.3e})"
         )
     # Work on the exactly-Hermitian average so LAPACK sees clean input.
-    return 0.5 * (A + A.conj().T)
+    # Halving first cannot overflow and is exact, so the bits are unchanged.
+    return 0.5 * A + 0.5 * A.conj().T
 
 
 @dataclass

@@ -17,11 +17,9 @@ from . import linalg
 from .channel import (
     IbcScenario,
     PrecoderSet,
-    StackedUserView,
+    _served_cells,
     check_precoders,
-    expected_gram,
-    sample_stacked_batch,
-    stack_user,
+    stream_spec,
 )
 from .errors import DimensionMismatch, DomainError, UnsupportedCase
 from .gap import (
@@ -32,7 +30,7 @@ from .gap import (
     gamma_rho,
     taylor_gamma2_inf_zero_mean,
 )
-from .mc import MonteCarloEstimate, vector_stats
+from .mc import MonteCarloEstimate, complex_normal, vector_stats
 
 # Numerical stand-in for infinite SNR in Monte-Carlo gap estimation;
 # the remaining O(1/rho) bias sits far below statistical error.
@@ -60,6 +58,8 @@ class SandwichBound:
     method_per_user: list
 
     def __post_init__(self):
+        if np.isnan([self.lower, self.esei_value, self.upper]).any():
+            raise DomainError("sandwich bounds are NaN: the scenario overflows the float range")
         if not (self.lower <= self.esei_value <= self.upper):
             raise DomainError("sandwich bounds must bracket the surrogate value")
 
@@ -79,60 +79,82 @@ def _batch_rate(G: np.ndarray) -> np.ndarray:
     return np.log1p(eig).sum(axis=1)
 
 
-def wsr_realization(scenario: IbcScenario, precoders: PrecoderSet, channels) -> float:
-    """Weighted sum rate for one set of sampled stacked channels.
+def _rate_terms(F: np.ndarray, own: slice):
+    """Signal and interference terms of one user for a batch of F.
 
-    channels[k] is user k's stacked matrix (rx_antennas_k x total
-    width). Always nonnegative for nonnegative weights, since each
+    F (n, N, D) holds precoded channels [H_kj G_j]_j, own the user's
+    own columns. The signal Gram is F F^H; the interference Gram drops
+    the own streams, F F^H - F_own F_own^H. Returns ln|I + .| of both.
+    """
+    S = F @ np.conj(np.swapaxes(F, 1, 2))
+    Fo = F[:, :, own]
+    return _batch_rate(S), _batch_rate(S - Fo @ np.conj(np.swapaxes(Fo, 1, 2)))
+
+
+def _split(spec: GapSpec, own: slice):
+    """A user's signal spec and its interference spec, which drops the
+    own columns; a user alone in the only serving cell keeps none."""
+    keep = np.r_[0 : own.start, own.stop : spec.mean.shape[1]]
+    return spec, GapSpec(spec.mean[:, keep], spec.cov[np.ix_(keep, keep)])
+
+
+def _log_terms(specs):
+    """ln|I + E F F^H| for each spec. With zero covariance, these are the
+    rate terms of the realization F = mean, so a deterministic channel's
+    rate equals its surrogate to the last bit."""
+    return tuple(linalg.logdet_hpd(np.eye(s.n_rx) + s.expected_gram()) for s in specs)
+
+
+def _term_specs(scenario, precoders):
+    """Per user, the (signal, interference) specs of the ESEI and the sandwich."""
+    return [_split(*stream_spec(scenario, precoders, k)) for k in range(scenario.n_users)]
+
+
+def wsr_realization(scenario: IbcScenario, precoders: PrecoderSet, channels) -> float:
+    """Weighted sum rate for one set of per-link channels.
+
+    channels[k][j] is the channel from cell j to user k (rx_antennas_k
+    x M_j). Always nonnegative for nonnegative weights, since each
     user's bracket is a valid rate.
     """
     check_precoders(scenario, precoders)
+    cells, own = _served_cells(scenario, precoders)
     total = 0.0
     for k, u in enumerate(scenario.users):
-        view = stack_user(scenario, precoders, k)
-        H = np.asarray(channels[k], dtype=complex)
-        if H.shape != view.mean.shape:
-            raise DimensionMismatch(
-                f"channel {k} has shape {H.shape}, expected {view.mean.shape}"
-            )
-        N = H.shape[0]
-        eye = np.eye(N)
-        sig = linalg.logdet_hpd(eye + H @ view.Q @ H.conj().T)
-        intf = linalg.logdet_hpd(eye + H @ view.Q_kbar @ H.conj().T)
+        blocks = []
+        for j, G in cells:
+            H = np.asarray(channels[k][j], dtype=complex)
+            expect = (u.rx_antennas, scenario.bs_antennas[j])
+            if H.shape != expect:
+                raise DimensionMismatch(f"channel ({k},{j}) has shape {H.shape}, expected {expect}")
+            blocks.append(H @ G)
+        F = np.concatenate(blocks, axis=1)
+        sig, intf = _log_terms(_split(GapSpec(F, np.zeros((F.shape[1],) * 2)), own[k]))
         total += u.rate_weight * (sig - intf)
     return total
 
 
-def _term_evaluator(views):
+def _term_evaluator(specs, weights):
     """Per-sample statistic matrix for all users' rate terms.
 
     Column 0 is the weighted sum rate; columns 1..K are the signal
-    terms ln|I + H Q H^H|; columns K+1..2K the interference terms.
-    Per-chunk draw order is fixed (user 0 first), so any consumer of
-    the same seed sees the same channels.
+    terms, columns K+1..2K the interference terms. Each user draws its
+    precoded channels from its stream spec, users in order, so any
+    consumer of the same seed sees the same channels.
     """
-    K = len(views)
+    K = len(specs)
 
     def evaluate(rng, count):
         out = np.zeros((count, 1 + 2 * K))
-        for k, (view, weight) in enumerate(views):
-            H = sample_stacked_batch(view, rng, count)
-            sig = _batch_rate(H @ view.Q @ np.conj(np.swapaxes(H, 1, 2)))
-            intf = _batch_rate(H @ view.Q_kbar @ np.conj(np.swapaxes(H, 1, 2)))
+        for k, ((spec, own), weight) in enumerate(zip(specs, weights)):
+            W = complex_normal(rng, (count,) + spec.mean.shape)
+            sig, intf = _rate_terms(spec.mean + W @ spec.cov_sqrt, own)
             out[:, 1 + k] = sig
             out[:, 1 + K + k] = intf
             out[:, 0] += weight * (sig - intf)
         return out
 
     return evaluate
-
-
-def _stacked_views(scenario, precoders):
-    check_precoders(scenario, precoders)
-    return [
-        (stack_user(scenario, precoders, k), scenario.users[k].rate_weight)
-        for k in range(scenario.n_users)
-    ]
 
 
 def _deterministic(scenario) -> bool:
@@ -158,18 +180,10 @@ def ewsr_monte_carlo(
     if n_samples < 2:
         raise DomainError(f"need at least 2 samples, got {n_samples}")
     if _deterministic(scenario):
-        views = _stacked_views(scenario, precoders)
-        value = wsr_realization(
-            scenario, precoders, [v.mean for v, _ in views]
-        )
+        means = [[link.mean for link in row] for row in scenario.links]
+        value = wsr_realization(scenario, precoders, means)
         return MonteCarloEstimate(value, 0.0, n_samples, seed)
-    mean, se, _ = vector_stats(
-        n_samples,
-        seed,
-        _term_evaluator(_stacked_views(scenario, precoders)),
-        workers=workers,
-    )
-    return MonteCarloEstimate(float(mean[0]), float(se[0]), n_samples, seed)
+    return user_term_estimates(scenario, precoders, n_samples, seed, workers)[0]
 
 
 def user_term_estimates(
@@ -185,40 +199,32 @@ def user_term_estimates(
     term lists hold one MonteCarloEstimate per user, all evaluated on
     the same channel draws as ewsr_monte_carlo with the same seed.
     """
-    views = _stacked_views(scenario, precoders)
-    K = len(views)
+    specs = [stream_spec(scenario, precoders, k) for k in range(scenario.n_users)]
+    weights = [u.rate_weight for u in scenario.users]
+    K = len(specs)
     mean, se, _ = vector_stats(
-        n_samples, seed, _term_evaluator(views), workers=workers
+        n_samples, seed, _term_evaluator(specs, weights), workers=workers
     )
-    wsr = MonteCarloEstimate(float(mean[0]), float(se[0]), n_samples, seed)
-    sig = [
-        MonteCarloEstimate(float(mean[1 + k]), float(se[1 + k]), n_samples, seed)
-        for k in range(K)
-    ]
-    intf = [
-        MonteCarloEstimate(
-            float(mean[1 + K + k]), float(se[1 + K + k]), n_samples, seed
-        )
-        for k in range(K)
-    ]
-    return wsr, sig, intf
+    if not np.isfinite(mean).all():
+        raise DomainError("the sampled rate terms overflow the float range")
+
+    def estimate(i):
+        return MonteCarloEstimate(float(mean[i]), float(se[i]), n_samples, seed)
+
+    return (
+        estimate(0),
+        [estimate(1 + k) for k in range(K)],
+        [estimate(1 + K + k) for k in range(K)],
+    )
 
 
 def esei_terms(scenario: IbcScenario, precoders: PrecoderSet):
     """Per-user (signal, interference) terms with expectations inside.
 
-    ln|I + E H Q H^H| and ln|I + E H Q_kbar H^H| per user, using the
-    blockwise expected Gram (mean part plus tr(Q C) identity).
+    ln|I + E F F^H| for the signal and the interference spec of each
+    user, E F F^H being the mean part plus tr(cov) I.
     """
-    out = []
-    for view, _ in _stacked_views(scenario, precoders):
-        dist = view.as_distribution()
-        N = view.mean.shape[0]
-        eye = np.eye(N)
-        sig = linalg.logdet_hpd(eye + expected_gram(dist, view.Q))
-        intf = linalg.logdet_hpd(eye + expected_gram(dist, view.Q_kbar))
-        out.append((sig, intf))
-    return out
+    return [_log_terms(specs) for specs in _term_specs(scenario, precoders)]
 
 
 def esei_wsr(scenario: IbcScenario, precoders: PrecoderSet) -> float:
@@ -229,45 +235,8 @@ def esei_wsr(scenario: IbcScenario, precoders: PrecoderSet) -> float:
     return total
 
 
-def effective_gap_spec(view: StackedUserView, Qm: np.ndarray) -> GapSpec:
-    """The (mean, cov) pair whose gap governs one rate term.
-
-    Aggregates the stacked transmit covariance per distinct BS (blocks
-    repeating a BS share one physical draw, so per-BS aggregation is
-    what makes the perturbation i.i.d.), then absorbs the precoder:
-    mean' = mean_BS sqrt(Qagg), cov' = sqrt(Qagg) C_BS sqrt(Qagg).
-    The resulting H' satisfies H' H'^H ~ H Q H^H exactly.
-    """
-    bs_list = sorted(view.bs_sqrt)
-    N = view.mean.shape[0]
-    widths, means, covs = [], [], []
-    for j in bs_list:
-        i = view.block_bs.index(j)
-        sl = view.block_slices[i]
-        means.append(view.mean[:, sl])
-        covs.append(view.cov_blocks[i])
-        widths.append(sl.stop - sl.start)
-    total = sum(widths)
-    mean_bs = np.concatenate(means, axis=1) if total else np.zeros((N, 0))
-    C_bs = np.zeros((total, total), dtype=complex)
-    Qagg = np.zeros((total, total), dtype=complex)
-    start = 0
-    for j, w, C in zip(bs_list, widths, covs):
-        sl_bs = slice(start, start + w)
-        C_bs[sl_bs, sl_bs] = C
-        block = np.zeros((w, w), dtype=complex)
-        for i2, jj in enumerate(view.block_bs):
-            if jj == j:
-                s2 = view.block_slices[i2]
-                block += Qm[s2, s2]
-        Qagg[sl_bs, sl_bs] = block
-        start += w
-    R = linalg.hermitian_sqrt(Qagg)
-    return GapSpec(mean=mean_bs @ R, cov=R @ C_bs @ R)
-
-
 def _gamma_limit(eff: GapSpec, method: str, n_samples: int, seed: int, workers: int):
-    """One gap limit for an effective spec, by the requested method.
+    """One gap limit for a signal or interference spec, by the requested method.
 
     Returns (value, tag). "auto" prefers exact closed forms, falls back
     to the second-order limit for zero-mean cases it cannot match, and
@@ -339,27 +308,17 @@ def sandwich_bounds(
     """Lower/upper bounds on the expected weighted sum rate.
 
     surrogate - sum_k u_k gamma_k <= EWSR <= surrogate + sum_k u_k
-    gamma_kbar, with per-user gap limits computed on the effective
-    distributions of the signal (Q) and interference (Q_kbar) terms.
+    gamma_kbar, with per-user gap limits computed on the stream specs of
+    the signal and the interference terms, the same specs the ESEI uses.
     n_samples/seed/workers only matter when a Monte-Carlo gap limit is
     needed (nonzero-mean specs in auto mode, or when requested).
     """
     esei = esei_wsr(scenario, precoders)
     gammas_k, gammas_kbar, methods = [], [], []
-    for k, (view, _) in enumerate(_stacked_views(scenario, precoders)):
-        g_sig, tag_sig = _gamma_limit(
-            effective_gap_spec(view, view.Q),
-            gamma_method,
-            n_samples,
-            seed + 2 * k,
-            workers,
-        )
+    for k, (sig, intf) in enumerate(_term_specs(scenario, precoders)):
+        g_sig, tag_sig = _gamma_limit(sig, gamma_method, n_samples, seed + 2 * k, workers)
         g_int, tag_int = _gamma_limit(
-            effective_gap_spec(view, view.Q_kbar),
-            gamma_method,
-            n_samples,
-            seed + 2 * k + 1,
-            workers,
+            intf, gamma_method, n_samples, seed + 2 * k + 1, workers
         )
         gammas_k.append(g_sig)
         gammas_kbar.append(g_int)

@@ -21,7 +21,7 @@ from .channel import (
     load_demo_bundle,
     uniform_power_precoders,
 )
-from .errors import DomainError
+from .errors import DegenerateSpectrum, DomainError
 from .gap import (
     EigenSpectrum,
     GapSpec,
@@ -41,7 +41,7 @@ from .oracle import (
     exact_e_log_miso_corr,
     exact_e_log_miso_iid,
 )
-from .rates import esei_terms, sandwich_bounds, user_term_estimates
+from .rates import _term_specs, esei_terms, sandwich_bounds, user_term_estimates
 from .special import euler_gamma, exp_integral_e1, harmonic
 
 
@@ -119,14 +119,9 @@ def random_zero_mean_scenario(seed: int, n_cells=None, n_users=None):
 
 
 def _sandwich_spectra_ok(scenario, precoders) -> bool:
-    """True when every effective gap spectrum is comfortably distinct."""
-    from .rates import _stacked_views, effective_gap_spec
-
-    from .errors import DegenerateSpectrum
-
-    for view, _ in _stacked_views(scenario, precoders):
-        for Qm in (view.Q, view.Q_kbar):
-            eff = effective_gap_spec(view, Qm)
+    """True when every signal and interference gap spectrum is comfortably distinct."""
+    for specs in _term_specs(scenario, precoders):
+        for eff in specs:
             if np.trace(eff.cov).real <= 1e-14:
                 continue
             try:

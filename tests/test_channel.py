@@ -9,15 +9,12 @@ from ewsrgap.channel import (
     PrecoderSet,
     UserConfig,
     exp_profile_cov,
-    expected_gram,
     load_bundle,
     load_demo_bundle,
     load_scenario,
     sample_channel,
-    sample_stacked,
-    sample_stacked_batch,
     save_scenario,
-    stack_user,
+    stream_spec,
     uniform_power_precoders,
 )
 from ewsrgap.errors import (
@@ -27,6 +24,7 @@ from ewsrgap.errors import (
     ParseError,
     ValidationError,
 )
+from ewsrgap.mc import complex_normal
 
 
 def _random_psd(rng, n, scale=1.0):
@@ -82,40 +80,6 @@ class TestChannelDistribution:
         se_im = inner.imag.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(emp.real - target.real) <= 3 * se_re + floor)
         assert np.all(np.abs(emp.imag - target.imag) <= 3 * se_im + floor)
-
-
-class TestExpectedGram:
-    def test_zero_precoder(self, rng):
-        dist = ChannelDistribution(mean=rng.standard_normal((2, 3)), cov_t=np.eye(3))
-        assert np.array_equal(expected_gram(dist, np.zeros((3, 3))), np.zeros((2, 2)))
-
-    def test_zero_mean_identity_precoder(self, rng):
-        C = _random_psd(rng, 4)
-        dist = ChannelDistribution(mean=np.zeros((3, 4)), cov_t=C)
-        G = expected_gram(dist, np.eye(4))
-        assert G == pytest.approx(np.trace(C).real * np.eye(3), rel=1e-12)
-
-    def test_matches_monte_carlo(self, rng):
-        mean = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        C = _random_psd(rng, 3)
-        dist = ChannelDistribution(mean=mean, cov_t=C)
-        B = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        Q = B @ B.conj().T
-        n = 50_000
-        H = np.stack([sample_channel(dist, rng) for _ in range(n)])
-        grams = np.einsum("sij,jk,slk->sil", H, Q, H.conj())
-        emp = grams.mean(axis=0)
-        target = expected_gram(dist, Q)
-        floor = 1e-12 * np.abs(target).max()
-        se_re = grams.real.std(axis=0, ddof=1) / np.sqrt(n)
-        se_im = grams.imag.std(axis=0, ddof=1) / np.sqrt(n)
-        assert np.all(np.abs(emp.real - target.real) <= 3 * se_re + floor)
-        assert np.all(np.abs(emp.imag - target.imag) <= 3 * se_im + floor)
-
-    def test_rejects_wrong_q_shape(self, rng):
-        dist = ChannelDistribution(mean=np.zeros((2, 3)), cov_t=np.eye(3))
-        with pytest.raises(DimensionMismatch):
-            expected_gram(dist, np.eye(2))
 
 
 class TestExpProfileCov:
@@ -190,10 +154,96 @@ class TestUniformPrecoders:
         assert G == pytest.approx(alpha * np.eye(3, 2))
 
 
-class TestStackUser:
+def _random_mean(rng, n, m):
+    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+
+
+def _random_precoders(rng, sc):
+    """Random beams with each cell spending exactly its budget."""
+    mats = [_random_mean(rng, sc.bs_antennas[u.serving_bs], u.streams) for u in sc.users]
+    for j, budget in enumerate(sc.power_budgets):
+        served = [k for k, u in enumerate(sc.users) if u.serving_bs == j]
+        spent = sum(np.sum(np.abs(mats[k]) ** 2) for k in served)
+        for k in served:
+            mats[k] *= np.sqrt(budget / spent)
+    return PrecoderSet(mats)
+
+
+def _two_cells(rng):
+    """Cells with 3 and 2 antennas; users 0 and 2 on cell 0, user 1 on cell 1."""
+    users = [
+        UserConfig(serving_bs=0, rx_antennas=2, streams=1, rate_weight=1.0),
+        UserConfig(serving_bs=1, rx_antennas=2, streams=2, rate_weight=0.5),
+        UserConfig(serving_bs=0, rx_antennas=2, streams=1, rate_weight=2.0),
+    ]
+    links = [
+        [
+            ChannelDistribution(mean=_random_mean(rng, 2, M), cov_t=_random_psd(rng, M))
+            for M in (3, 2)
+        ]
+        for _ in users
+    ]
+    return IbcScenario(bs_antennas=[3, 2], users=users, power_budgets=[2.0, 3.0], links=links)
+
+
+def _cell_precoders(sc, ps, j):
+    """Cell j's precoders side by side, in user order."""
+    return np.concatenate(
+        [G for G, u in zip(ps.matrices, sc.users) if u.serving_bs == j], axis=1
+    )
+
+
+class TestExpectedGram:
+    """E F F^H of a user's stream spec: the mean part plus tr(cov) I."""
+
+    def test_zero_precoder(self, rng):
+        sc = _two_user_one_cell(rng)
+        ps = PrecoderSet([np.zeros((3, 2)), np.zeros((3, 1))])
+        spec, _ = stream_spec(sc, ps, 0)
+        assert np.array_equal(spec.expected_gram(), np.zeros((2, 2)))
+
+    def test_zero_mean_identity_precoder(self, rng):
+        C = _random_psd(rng, 4)
+        sc = IbcScenario(
+            bs_antennas=[4],
+            users=[UserConfig(serving_bs=0, rx_antennas=4, streams=4, rate_weight=1.0)],
+            power_budgets=[4.0],
+            links=[[ChannelDistribution(mean=np.zeros((4, 4)), cov_t=C)]],
+        )
+        spec, _ = stream_spec(sc, PrecoderSet([np.eye(4)]), 0)
+        assert spec.expected_gram() == pytest.approx(np.trace(C).real * np.eye(4), rel=1e-12)
+
+    def test_matches_monte_carlo(self, rng):
+        # per-link draws of sum_j H_kj Q_j H_kj^H average to the spec's E F F^H
+        sc = _two_cells(rng)
+        ps = _random_precoders(rng, sc)
+        n = 50_000
+        for k in range(sc.n_users):
+            grams = 0.0
+            for j, link in enumerate(sc.links[k]):
+                H = link.mean + complex_normal(rng, (n, 2, sc.bs_antennas[j])) @ link.cov_sqrt
+                G = _cell_precoders(sc, ps, j)
+                HG = H @ G
+                grams = grams + HG @ np.conj(np.swapaxes(HG, 1, 2))
+            emp = grams.mean(axis=0)
+            target = stream_spec(sc, ps, k)[0].expected_gram()
+            floor = 1e-12 * np.abs(target).max()
+            se_re = grams.real.std(axis=0, ddof=1) / np.sqrt(n)
+            se_im = grams.imag.std(axis=0, ddof=1) / np.sqrt(n)
+            assert np.all(np.abs(emp.real - target.real) <= 4 * se_re + floor)
+            assert np.all(np.abs(emp.imag - target.imag) <= 4 * se_im + floor)
+
+    def test_rejects_wrong_q_shape(self, rng):
+        # the transmit covariances come from the precoders, so their shape is checked
+        sc = _two_user_one_cell(rng)
+        with pytest.raises(ValidationError):
+            stream_spec(sc, PrecoderSet([np.eye(3, 2), np.eye(2, 1)]), 0)
+
+
+class TestStreamSpec:
     def test_single_user_single_cell(self, rng):
         users = [UserConfig(serving_bs=0, rx_antennas=2, streams=2, rate_weight=1.0)]
-        mean = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        mean = _random_mean(rng, 2, 3)
         C = _random_psd(rng, 3)
         sc = IbcScenario(
             bs_antennas=[3],
@@ -202,93 +252,80 @@ class TestStackUser:
             links=[[ChannelDistribution(mean=mean, cov_t=C)]],
         )
         ps = uniform_power_precoders(sc)
-        view = stack_user(sc, ps, 0)
-        assert np.array_equal(view.mean, mean)
-        assert view.Q == pytest.approx(ps.Q_user(0))
-        assert np.array_equal(view.Q_kbar, np.zeros((3, 3)))
-        assert np.array_equal(view.cov_bd, C)
+        spec, own = stream_spec(sc, ps, 0)
+        G = ps.matrices[0]
+        assert own == slice(0, 2)
+        assert np.array_equal(spec.mean, mean @ G)
+        assert spec.cov == pytest.approx(G.conj().T @ C @ G, rel=1e-14)
 
-    def test_two_user_blocks(self, rng):
+    def test_one_cell_two_users(self, rng):
+        # both users hang off cell 0, so one block [G_0 G_1] carries both
+        # users' streams and its covariance couples them: one shared draw
         sc = _two_user_one_cell(rng)
-        ps = uniform_power_precoders(sc)
-        view = stack_user(sc, ps, 0)
-        M = 3
-        s0, s1 = view.block_slices
-        # both users hang off BS 0, so both blocks carry user 0's link to BS 0
-        link = sc.links[0][0]
-        assert np.array_equal(view.mean[:, s0], link.mean)
-        assert np.array_equal(view.mean[:, s1], link.mean)
-        assert view.Q[s0, s0] == pytest.approx(ps.Q_user(0))
-        assert view.Q[s1, s1] == pytest.approx(ps.Q_user(1))
-        assert np.array_equal(view.Q[s0, s1], np.zeros((M, M)))
-        assert np.array_equal(view.Q_kbar[s0, s0], np.zeros((M, M)))
-        assert view.Q_kbar[s1, s1] == pytest.approx(ps.Q_user(1))
-        assert np.array_equal(view.cov_bd[s0, s1], np.zeros((M, M)))
+        ps = _random_precoders(rng, sc)
+        G = np.concatenate(ps.matrices, axis=1)
+        for k, want_own in ((0, slice(0, 2)), (1, slice(2, 3))):
+            spec, own = stream_spec(sc, ps, k)
+            link = sc.links[k][0]
+            assert own == want_own
+            assert spec.mean.shape == (sc.users[k].rx_antennas, 3)
+            assert spec.mean == pytest.approx(link.mean @ G, rel=1e-14)
+            assert spec.cov == pytest.approx(G.conj().T @ link.cov_t @ G, rel=1e-14)
+            assert np.abs(spec.cov[:2, 2:]).max() > 0.0
+
+    def test_two_cells_block_diagonal(self, rng):
+        # columns: cell 0's streams (users 0, 2), then cell 1's (user 1);
+        # different cells draw independently, so cross-cell blocks are 0
+        sc = _two_cells(rng)
+        ps = _random_precoders(rng, sc)
+        G0, G1 = _cell_precoders(sc, ps, 0), _cell_precoders(sc, ps, 1)
+        owns = [slice(0, 1), slice(2, 4), slice(1, 2)]
+        for k in range(sc.n_users):
+            spec, own = stream_spec(sc, ps, k)
+            l0, l1 = sc.links[k]
+            assert own == owns[k]
+            assert spec.mean.shape == (2, 4)
+            assert spec.mean[:, :2] == pytest.approx(l0.mean @ G0, rel=1e-14)
+            assert spec.mean[:, 2:] == pytest.approx(l1.mean @ G1, rel=1e-14)
+            assert spec.cov[:2, :2] == pytest.approx(G0.conj().T @ l0.cov_t @ G0, rel=1e-14)
+            assert spec.cov[2:, 2:] == pytest.approx(G1.conj().T @ l1.cov_t @ G1, rel=1e-14)
+            assert np.array_equal(spec.cov[:2, 2:], np.zeros((2, 2)))
+            assert np.array_equal(spec.cov[2:, :2], np.zeros((2, 2)))
+
+    def test_idle_cell_has_no_columns(self, rng):
+        sc = _two_cells(rng)
+        sc.users[1].serving_bs = 0
+        sc.users[1].streams = 1
+        ps = _random_precoders(rng, sc)
+        spec, own = stream_spec(sc, ps, 1)
+        assert spec.mean.shape == (2, 3) and spec.cov.shape == (3, 3)
+        assert own == slice(1, 2)
 
     def test_index_out_of_range(self, rng):
         sc = _two_user_one_cell(rng)
         ps = uniform_power_precoders(sc)
         with pytest.raises(IndexOutOfRange):
-            stack_user(sc, ps, 2)
+            stream_spec(sc, ps, 2)
 
-    def test_shared_bs_blocks_reuse_one_draw(self, rng):
+    def test_expected_gram_matches_blockwise_formula(self, rng):
+        sc = _two_cells(rng)
+        ps = _random_precoders(rng, sc)
+        for k in range(sc.n_users):
+            manual = np.zeros((2, 2), dtype=complex)
+            for j, link in enumerate(sc.links[k]):
+                G = _cell_precoders(sc, ps, j)
+                Q = G @ G.conj().T
+                manual += link.mean @ Q @ link.mean.conj().T
+                manual += np.trace(Q @ link.cov_t).real * np.eye(2)
+            got = stream_spec(sc, ps, k)[0].expected_gram()
+            assert got == pytest.approx(manual, rel=1e-12)
+
+    def test_overflow_is_a_typed_error(self, rng):
         sc = _two_user_one_cell(rng)
-        ps = uniform_power_precoders(sc)
-        view = stack_user(sc, ps, 0)
-        H = sample_stacked(view, rng)
-        s0, s1 = view.block_slices
-        assert np.array_equal(H[:, s0], H[:, s1])
-
-    def test_stacked_quadratic_form_matches_per_link_sum(self, rng):
-        # distinct cells: the stacked H Q H^H must reproduce the sum of
-        # per-interferer Grams built from the individual blocks
-        users = [
-            UserConfig(serving_bs=0, rx_antennas=2, streams=1, rate_weight=1.0),
-            UserConfig(serving_bs=1, rx_antennas=2, streams=2, rate_weight=1.0),
-        ]
-        links = []
-        for u in users:
-            row = []
-            for M in (3, 2):
-                mean = rng.standard_normal((2, M)) + 1j * rng.standard_normal((2, M))
-                row.append(ChannelDistribution(mean=mean, cov_t=_random_psd(rng, M)))
-            links.append(row)
-        sc = IbcScenario(
-            bs_antennas=[3, 2], users=users, power_budgets=[2.0, 3.0], links=links
-        )
-        ps = uniform_power_precoders(sc)
-        view = stack_user(sc, ps, 0)
-        H = sample_stacked(view, rng)
-        total = H @ view.Q @ H.conj().T
-        parts = sum(
-            H[:, sl] @ ps.Q_user(i) @ H[:, sl].conj().T
-            for i, sl in enumerate(view.block_slices)
-        )
-        assert np.linalg.norm(total - parts) <= 1e-10 * np.linalg.norm(total)
-
-    def test_batch_matches_sequential_draws(self, rng):
-        sc = _two_user_one_cell(rng)
-        ps = uniform_power_precoders(sc)
-        view = stack_user(sc, ps, 1)
-        batch = sample_stacked_batch(view, np.random.default_rng(5), 3)
-        seq_rng = np.random.default_rng(5)
-        first = sample_stacked_batch(view, seq_rng, 1)[0]
-        assert batch.shape == (3, 1, 6)
-        assert not np.array_equal(batch[0], batch[1])
-        assert np.array_equal(batch[0], first) or first.shape == batch[0].shape
-
-    def test_as_distribution_expected_gram(self, rng):
-        sc = _two_user_one_cell(rng)
-        ps = uniform_power_precoders(sc)
-        view = stack_user(sc, ps, 0)
-        dist = view.as_distribution()
-        G = expected_gram(dist, view.Q)
-        manual = view.mean @ view.Q @ view.mean.conj().T
-        for i, sl in enumerate(view.block_slices):
-            manual = manual + np.trace(
-                ps.Q_user(i) @ view.cov_blocks[i]
-            ).real * np.eye(2)
-        assert G == pytest.approx(manual, rel=1e-12)
+        # finite entries whose precoded covariance G^H C G exceeds the float range
+        sc.links[0][0] = ChannelDistribution(mean=np.zeros((2, 3)), cov_t=1e308 * np.eye(3))
+        with pytest.raises(DomainError, match="overflow"):
+            stream_spec(sc, uniform_power_precoders(sc), 0)
 
 
 MINIMAL_DOC = {
@@ -342,6 +379,40 @@ class TestScenarioJson:
         with pytest.raises(ParseError) as exc:
             load_scenario(p)
         assert "cov_t" in exc.value.field
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("cells", 0, "antennas"), True, "cells[0].antennas"),
+            (("cells", 0, "antennas"), 2.0, "cells[0].antennas"),
+            (("users", 0, "serving_bs"), True, "users[0].serving_bs"),
+            (("users", 0, "rx_antennas"), True, "users[0].rx_antennas"),
+            (("users", 0, "rx_antennas"), 0, "users[0].rx_antennas"),
+            (("users", 0, "streams"), False, "users[0].streams"),
+            (("seed",), True, "seed"),
+            (("seed",), -1, "seed"),
+            (("users", 0, "rate_weight"), float("nan"), "users[0].rate_weight"),
+            (("users", 0, "rate_weight"), "1.0", "users[0].rate_weight"),
+            (("power_budgets", 0), float("inf"), "power_budgets[0]"),
+            (("power_budgets", 0), True, "power_budgets[0]"),
+            (("power_budgets", 0), 10**400, "power_budgets[0]"),
+            (("links", 0, 0, "cov_t", 0, 0, 0), float("nan"), "links[0][0].cov_t"),
+            (("links", 0, 0, "cov_t", 1, 1, 1), float("-inf"), "links[0][0].cov_t"),
+            (("links", 0, 0, "cov_t", 0, 0, 1), True, "links[0][0].cov_t"),
+        ],
+    )
+    def test_integers_and_finite_numbers_checked_on_entry(self, tmp_path, path, value, field):
+        doc = json.loads(json.dumps(MINIMAL_DOC))
+        doc["seed"] = 3
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as exc:
+            load_bundle(p)
+        assert exc.value.field == field
 
     def test_round_trip(self, tmp_path, rng):
         sc = _two_user_one_cell(rng)

@@ -1,17 +1,27 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ewsrgap.channel import (
     ChannelDistribution,
     IbcScenario,
     UserConfig,
+    load_bundle,
     save_scenario,
 )
 from ewsrgap.cli import main
+from ewsrgap.errors import EwsrgapError
 from ewsrgap.gap import gamma_inf_miso_iid
 
 LN2 = float(np.log(2.0))
@@ -147,6 +157,26 @@ class TestFig2:
         assert main(["fig2", "--cov", str(cov_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cov",
+        [
+            [[1.0, 0.5], [0.0, 1.0]],  # not Hermitian
+            [[1.0, 2.0], [2.0, 1.0]],  # indefinite
+            [[1.0, float("nan")], [float("nan"), 1.0]],
+            [[1.0, [0.0, float("inf")]], [0.0, 1.0]],
+            [[True, 0.0], [0.0, 1.0]],
+        ],
+    )
+    def test_invalid_cov_is_one_line_usage_error(self, tmp_path, capsys, cov):
+        cov_path = tmp_path / "cov.json"
+        cov_path.write_text(json.dumps(cov))
+        out = tmp_path / "fig2.csv"
+        code = main(["fig2", "--samples", "200", "--tx-antennas", "2",
+                     "--cov", str(cov_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestSandwich:
     def test_bundled_demo_contained(self, tmp_path):
@@ -241,6 +271,28 @@ class TestUsageErrors:
         assert main(["fig1", "--tx-antennas", "2,zero"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["fig1", "fig2", "sandwich", "verify"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, capsys, command, workers):
+        argv = [command, "all"] if command == "verify" else [command]
+        assert main(argv + ["--workers", workers]) == 2
+        assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig1", "--seed", "-1"],
+            ["sandwich", "--seed", "-4"],
+            ["fig2", "--rx-antennas", "0"],
+            ["fig2", "--rho", "nan"],
+            ["fig1", "--snr-db", "inf"],
+            ["verify", "all", "--scale", "nan"],
+        ],
+    )
+    def test_out_of_range_arguments_rejected(self, capsys, argv):
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_version_exits_cleanly(self, capsys):
         assert main(["--version"]) == 0
         assert "ewsrgap" in capsys.readouterr().out
@@ -254,3 +306,79 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "ewsrgap" in proc.stdout
+
+
+DEMO = json.loads(
+    (resources.files("ewsrgap") / "data" / "demo_scenario.json").read_text(encoding="utf-8")
+)
+
+
+def _sites(doc, path=()):
+    """Paths to every key of the document and to the first and the last
+    item of every list in it."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = [(i, doc[i]) for i in sorted({0, len(doc) - 1})] if doc else []
+    else:
+        items = []
+    for key, value in items:
+        yield path + (key,)
+        yield from _sites(value, path + (key,))
+
+
+DELETE = object()
+# Integers stay small: an rx_antennas in the thousands is accepted and
+# makes every Monte-Carlo chunk form gigabytes of Grams, an open hole.
+NASTY = [None, True, False, 0, -1, 1, 3, 2.5, -0.5, 1e-300, 1e308, -1e308,
+         10**400, float("nan"), float("inf"), float("-inf"), "1", [], {}, [[]],
+         [0.0, 0.0], [[[1.0, 0.0]]], DELETE]
+
+
+def _mutate(doc, path, value):
+    """Replace (or delete) the value at path; a path an earlier mutation
+    removed is skipped."""
+    parent = doc
+    for key in path[:-1]:
+        try:
+            parent = parent[key]
+        except (KeyError, IndexError, TypeError):
+            return
+    key = path[-1]
+    if isinstance(parent, dict):
+        present = key in parent or value is not DELETE
+    else:
+        present = isinstance(parent, list) and isinstance(key, int) and key < len(parent)
+    if present:
+        if value is DELETE:
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(value)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(list(_sites(DEMO))), st.sampled_from(NASTY)),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_mutated_demo_loads_or_fails_typed(mutations):
+    # every mutated document either loads or raises a typed error, and
+    # the sandwich command ends with an exit code, never a traceback
+    doc = copy.deepcopy(DEMO)
+    for path, value in mutations:
+        _mutate(doc, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with contextlib.suppress(EwsrgapError):
+            load_bundle(path)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["sandwich", "--scenario", str(path), "--samples", "64",
+                         "--out", str(Path(tmp) / "out.csv")])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1

@@ -6,14 +6,16 @@ from ewsrgap.channel import (
     IbcScenario,
     PrecoderSet,
     UserConfig,
-    sample_stacked,
-    stack_user,
+    load_demo_bundle,
+    sample_channel,
     uniform_power_precoders,
 )
-from ewsrgap.errors import DomainError, UnsupportedCase
+from ewsrgap.errors import DimensionMismatch, DomainError, UnsupportedCase
+from ewsrgap.mc import complex_normal
 from ewsrgap.oracle import exact_e_log_miso_iid
 from ewsrgap.rates import (
     SandwichBound,
+    _term_specs,
     esei_terms,
     esei_wsr,
     ewsr_monte_carlo,
@@ -91,24 +93,81 @@ def _two_user_mimo_random(seed=0):
     return sc, uniform_power_precoders(sc)
 
 
+def _two_cell_rician(seed=0):
+    """Two cells (M = 4, 3), three users with N = 2 receive antennas, one
+    of them on 2 streams, nonzero means, correlated covariances and
+    random beams that spend each cell's budget."""
+    rng = np.random.default_rng(seed)
+
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    users = [
+        UserConfig(serving_bs=0, rx_antennas=2, streams=2, rate_weight=1.0),
+        UserConfig(serving_bs=1, rx_antennas=2, streams=1, rate_weight=0.6),
+        UserConfig(serving_bs=0, rx_antennas=2, streams=1, rate_weight=1.4),
+    ]
+    links = []
+    for _ in users:
+        row = []
+        for M, gain in ((4, 1.0), (3, 0.4)):
+            A = cn(M, M)
+            C = A @ A.conj().T
+            row.append(ChannelDistribution(mean=0.6 * gain * cn(2, M), cov_t=gain * C / M))
+        links.append(row)
+    sc = IbcScenario(bs_antennas=[4, 3], users=users, power_budgets=[6.0, 4.0], links=links)
+    mats = [cn(sc.bs_antennas[u.serving_bs], u.streams) for u in users]
+    for j, budget in enumerate(sc.power_budgets):
+        served = [k for k, u in enumerate(users) if u.serving_bs == j]
+        spent = sum(np.sum(np.abs(mats[k]) ** 2) for k in served)
+        for k in served:
+            mats[k] *= np.sqrt(budget / spent)
+    return sc, PrecoderSet(mats)
+
+
+def _means(sc):
+    return [[link.mean for link in row] for row in sc.links]
+
+
+def _per_link_terms(sc, ps, grams):
+    """Per user (signal, interference) log-dets built link by link.
+
+    grams(k, j, Q) is user k's Gram for transmit covariance Q at cell j,
+    a sampled H Q H^H or its expectation. The signal term adds every
+    user's Q_i at its serving cell; the interference term every user's
+    but k's own.
+    """
+    out = []
+    for k, u in enumerate(sc.users):
+        N = u.rx_antennas
+        sig = np.eye(N, dtype=complex)
+        intf = np.eye(N, dtype=complex)
+        for i, ui in enumerate(sc.users):
+            G = ps.matrices[i]
+            term = grams(k, ui.serving_bs, G @ G.conj().T)
+            sig = sig + term
+            if i != k:
+                intf = intf + term
+        out.append((np.linalg.slogdet(sig)[1], np.linalg.slogdet(intf)[1]))
+    return out
+
+
 class TestWsrRealization:
     def test_zero_precoders(self):
         sc, _ = _single_user_mimo()
         ps = PrecoderSet([np.zeros((2, 2))])
-        view = stack_user(sc, ps, 0)
-        assert wsr_realization(sc, ps, [view.mean]) == 0.0
+        assert wsr_realization(sc, ps, _means(sc)) == 0.0
 
     def test_identity_channel_isotropic_precoder(self):
         rho, n = 4.0, 2
         sc, ps = _single_user_mimo(rho=rho, n=n)
         H = np.eye(n, dtype=complex)
-        got = wsr_realization(sc, ps, [H])
+        got = wsr_realization(sc, ps, [[H]])
         assert got == pytest.approx(n * np.log1p(rho), rel=1e-12)
 
     def test_orthogonal_two_user_miso(self):
         sc, ps = _orthogonal_two_user_miso()
-        views = [stack_user(sc, ps, k) for k in range(2)]
-        got = wsr_realization(sc, ps, [v.mean for v in views])
+        got = wsr_realization(sc, ps, _means(sc))
         # matched beams carry unit power and see no cross interference
         want = 1.0 * np.log1p(1.0) + 2.0 * np.log1p(1.0)
         assert got == pytest.approx(want, rel=1e-12)
@@ -116,18 +175,34 @@ class TestWsrRealization:
     def test_nonnegative_on_random_draws(self):
         sc, ps = _two_user_mimo_random()
         rng = np.random.default_rng(5)
-        views = [stack_user(sc, ps, k) for k in range(2)]
         for _ in range(10):
-            channels = [sample_stacked(v, rng) for v in views]
+            channels = [[sample_channel(link, rng) for link in row] for row in sc.links]
             assert wsr_realization(sc, ps, channels) >= 0.0
+
+    def test_grams_match_per_link_sums(self):
+        # on every draw, the signal Gram is sum_j H_kj Q_j H_kj^H and the
+        # interference Gram the same sum without user k's own beams
+        sc, ps = _two_cell_rician(seed=1)
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            H = [[sample_channel(link, rng) for link in row] for row in sc.links]
+            terms = _per_link_terms(sc, ps, lambda k, j, Q: H[k][j] @ Q @ H[k][j].conj().T)
+            want = sum(u.rate_weight * (s - i) for u, (s, i) in zip(sc.users, terms))
+            assert wsr_realization(sc, ps, H) == pytest.approx(want, rel=1e-10)
+
+    def test_rejects_wrong_channel_shape(self):
+        sc, ps = _two_cell_rician()
+        channels = _means(sc)
+        channels[1][0] = np.zeros((2, 3))
+        with pytest.raises(DimensionMismatch):
+            wsr_realization(sc, ps, channels)
 
 
 class TestEwsrMonteCarlo:
     def test_deterministic_channel_is_exact(self):
         sc, ps = _orthogonal_two_user_miso()
         est = ewsr_monte_carlo(sc, ps, 100, 0)
-        views = [stack_user(sc, ps, k) for k in range(2)]
-        want = wsr_realization(sc, ps, [v.mean for v in views])
+        want = wsr_realization(sc, ps, _means(sc))
         assert est.value == want
         assert est.std_error == 0.0
 
@@ -166,6 +241,41 @@ class TestEwsrMonteCarlo:
         a = ewsr_monte_carlo(sc, ps, 20_000, 9, workers=1)
         b = ewsr_monte_carlo(sc, ps, 20_000, 9, workers=3)
         assert a.value == b.value and a.std_error == b.std_error
+
+    def test_idle_cell_gets_no_draw(self):
+        # a third cell that serves nobody adds no streams, so the same
+        # seed gives bit-identical estimates with or without it
+        sc, ps = _two_user_mimo_random()
+        idle = IbcScenario(
+            bs_antennas=[4, 3, 2],
+            users=sc.users,
+            power_budgets=[8.0, 5.0, 1.0],
+            links=[
+                row + [ChannelDistribution(mean=np.ones((2, 2)), cov_t=np.eye(2))]
+                for row in sc.links
+            ],
+        )
+        a = user_term_estimates(sc, ps, 5000, 2)
+        b = user_term_estimates(idle, ps, 5000, 2)
+        assert a == b
+
+    def test_matches_per_link_brute_force(self):
+        # an estimator that draws every link separately, with its own stream
+        sc, ps = _two_cell_rician()
+        n = 20_000
+        rng = np.random.default_rng(77)
+        H = [
+            [link.mean + complex_normal(rng, (n,) + link.mean.shape) @ link.cov_sqrt
+             for link in row]
+            for row in sc.links
+        ]
+        terms = _per_link_terms(
+            sc, ps, lambda k, j, Q: H[k][j] @ Q @ np.conj(np.swapaxes(H[k][j], 1, 2))
+        )
+        total = sum(u.rate_weight * (s - i) for u, (s, i) in zip(sc.users, terms))
+        ref, ref_se = total.mean(), total.std(ddof=1) / np.sqrt(n)
+        est = ewsr_monte_carlo(sc, ps, n, 3)
+        assert abs(est.value - ref) <= 5 * np.hypot(est.std_error, ref_se)
 
 
 class TestEseiWsr:
@@ -207,6 +317,27 @@ class TestEseiWsr:
         ) * np.exp(0.3j)
         rotated = PrecoderSet([ps.matrices[0] @ U, ps.matrices[1]])
         assert abs(esei_wsr(sc, rotated) - base) <= 1e-10 * max(abs(base), 1.0)
+
+    def test_matches_per_link_expected_grams(self):
+        sc, ps = _two_cell_rician()
+        want = _per_link_terms(
+            sc,
+            ps,
+            lambda k, j, Q: sc.links[k][j].mean @ Q @ sc.links[k][j].mean.conj().T
+            + np.trace(Q @ sc.links[k][j].cov_t).real * np.eye(2),
+        )
+        for got, (sig, intf) in zip(esei_terms(sc, ps), want):
+            assert got == pytest.approx((sig, intf), rel=1e-12)
+
+    def test_lone_user_has_empty_interference_spec(self):
+        # the only user of the only serving cell: nothing interferes
+        sc, ps = _single_user_mimo()
+        sc.links[0][0] = ChannelDistribution(mean=sc.links[0][0].mean, cov_t=np.eye(2))
+        (sig, intf), = _term_specs(sc, ps)
+        assert sig.mean.shape == (2, 2)
+        assert intf.mean.shape == (2, 0) and intf.cov.shape == (0, 0)
+        assert esei_terms(sc, ps)[0][1] == 0.0
+        assert user_term_estimates(sc, ps, 1000, 1)[2][0].value == 0.0
 
     def test_jensen_per_term(self):
         sc, ps = _two_user_mimo_random(seed=2)
@@ -313,6 +444,23 @@ class TestSandwichBounds:
         sb = sandwich_bounds(sc, ps, "taylor")
         assert sb.method_per_user == ["taylor"]
         assert sb.lower <= sb.esei_value <= sb.upper
+
+    @pytest.mark.parametrize(
+        "method, lower, upper",
+        [
+            ("auto", 0.7317272097133245, 3.3024380394113377),
+            ("taylor", 0.6584206059610291, 3.323180813065009),
+        ],
+    )
+    def test_demo_bounds_pinned(self, method, lower, upper):
+        # values of the bundled demo before the stream-spec rewrite
+        sc, ps, seed = load_demo_bundle()
+        sb = sandwich_bounds(sc, ps, method, seed=seed)
+        assert sb.lower == pytest.approx(lower, rel=1e-12)
+        assert sb.upper == pytest.approx(upper, rel=1e-12)
+        assert sb.esei_value == pytest.approx(1.94898725622457, rel=1e-12)
+        tag = "closed-form" if method == "auto" else method
+        assert sb.method_per_user == [tag] * 4
 
     def test_unknown_method_rejected(self):
         sc, ps = _orthogonal_two_user_miso()
