@@ -12,7 +12,6 @@ Monte-Carlo estimators, and exact oracles that quantify the gap.
 __version__ = "0.1.0"
 
 from .channel import (
-    ChannelDistribution,
     IbcScenario,
     PrecoderSet,
     UserConfig,
@@ -89,7 +88,6 @@ from .verify import random_zero_mean_scenario, run_suite
 
 __all__ = [
     "__version__",
-    "ChannelDistribution",
     "IbcScenario",
     "PrecoderSet",
     "UserConfig",

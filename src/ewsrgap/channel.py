@@ -1,12 +1,13 @@
 """Gaussian partial-CSIT channel model and multi-cell scenario description.
 
-A channel is distributed as H = mean + W @ sqrt(cov_t) with W i.i.d.
-complex Gaussian of unit variance (1/2 per real component), so that
-E (H - mean)(H - mean)^H = tr(cov_t) I and E (H - mean)^H (H - mean)
-= N rows * cov_t. Scenarios couple several base stations and users.
-A user's rates depend on its links only through the precoded streams
-of the cells that serve someone; `stream_spec` describes them as one
-GapSpec whose width is the number of streams, not of antennas.
+Every link is a GapSpec: the channel is H = mean + W @ sqrt(cov) with
+W i.i.d. complex Gaussian of unit variance (1/2 per real component),
+so that E (H - mean)(H - mean)^H = tr(cov) I and
+E (H - mean)^H (H - mean) = N rows * cov. Scenarios couple several
+base stations and users. A user's rates depend on its links only
+through the precoded streams of the cells that serve someone;
+`stream_spec` describes them as one GapSpec whose width is the number
+of streams, not of antennas.
 """
 
 from __future__ import annotations
@@ -17,51 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import (
-    DimensionMismatch,
     DomainError,
     EwsrgapError,
     IndexOutOfRange,
     ParseError,
     ValidationError,
 )
-from .gap import GapSpec
+from .gap import GapSpec, check_spec_size
 from .mc import complex_normal
 
 
-@dataclass
-class ChannelDistribution:
-    """One link's Gaussian CSIT: mean matrix plus transmit-side covariance.
-
-    mean is N_r x M (may be zero), cov_t is M x M Hermitian PSD.
-    """
-
-    mean: np.ndarray
-    cov_t: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=complex)
-        self.cov_t = np.asarray(self.cov_t, dtype=complex)
-        if self.mean.ndim != 2:
-            raise DimensionMismatch(f"mean must be 2-d, got shape {self.mean.shape}")
-        # hermitian_sqrt validates Hermitian PSD and is cached for sampling.
-        self._sqrt = linalg.hermitian_sqrt(self.cov_t)
-        if self.mean.shape[1] != self.cov_t.shape[0]:
-            raise DimensionMismatch(
-                f"mean has {self.mean.shape[1]} columns but cov_t is "
-                f"{self.cov_t.shape[0]} x {self.cov_t.shape[0]}"
-            )
-
-    @property
-    def cov_sqrt(self) -> np.ndarray:
-        return self._sqrt
-
-
-def sample_channel(dist: ChannelDistribution, rng: np.random.Generator) -> np.ndarray:
-    """One channel realization H = mean + W @ sqrt(cov_t)."""
-    W = complex_normal(rng, dist.mean.shape)
-    return dist.mean + W @ dist.cov_sqrt
+def sample_channel(spec: GapSpec, rng: np.random.Generator) -> np.ndarray:
+    """One channel realization H = mean + W @ sqrt(cov)."""
+    W = complex_normal(rng, spec.mean.shape)
+    return spec.mean + W @ spec.cov_sqrt
 
 
 def exp_profile_cov(M: int, r: float = 0.5) -> np.ndarray:
@@ -84,9 +55,9 @@ class UserConfig:
 class IbcScenario:
     """Cells, users, their association, power budgets, and all links.
 
-    bs_antennas[j] is M_j; links[k][j] is the ChannelDistribution of
-    user k seen from BS j (shape rx_antennas_k x M_j). seed, when set,
-    is the file's suggested default RNG seed.
+    bs_antennas[j] is M_j; links[k][j] is the GapSpec of the channel
+    from BS j to user k, whose mean must be rx_antennas_k x M_j. seed,
+    when set, is the file's suggested default RNG seed.
     """
 
     bs_antennas: list
@@ -180,10 +151,7 @@ def uniform_power_precoders(scenario: IbcScenario) -> PrecoderSet:
     for u in scenario.users:
         j = u.serving_bs
         alpha = np.sqrt(scenario.power_budgets[j] / streams_per_cell[j])
-        G = np.zeros((scenario.bs_antennas[j], u.streams), dtype=complex)
-        for c in range(u.streams):
-            G[c, c] = alpha
-        mats.append(G)
+        mats.append(alpha * np.eye(scenario.bs_antennas[j], u.streams, dtype=complex))
     ps = PrecoderSet(mats)
     check_precoders(scenario, ps)
     return ps
@@ -224,7 +192,7 @@ def stream_spec(scenario: IbcScenario, precoders: PrecoderSet, k: int):
     cells, own = _served_cells(scenario, precoders)
     links = scenario.links[k]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
-        blocks = [G.conj().T @ links[j].cov_t @ G for j, G in cells]
+        blocks = [G.conj().T @ links[j].cov @ G for j, G in cells]
         mean = np.concatenate([links[j].mean @ G for j, G in cells], axis=1)
     width = sum(B.shape[0] for B in blocks)
     cov = np.zeros((width, width), dtype=complex)
@@ -360,15 +328,14 @@ def load_bundle(path):
             if entry.get("mean") is None:
                 n_rx = users[k].rx_antennas if k < len(users) else 0
                 try:
-                    mean = np.zeros((n_rx, cov.shape[0]), dtype=complex)
-                except (ValueError, MemoryError) as exc:
-                    raise ValidationError(
-                        f"zero mean of users[{k}].rx_antennas rows cannot be allocated: {exc}"
-                    ) from exc
+                    check_spec_size(n_rx, cov.shape[0])
+                except DomainError as exc:
+                    raise ValidationError(f"users[{k}].rx_antennas too large: {exc}") from exc
+                mean = np.zeros((n_rx, cov.shape[0]), dtype=complex)
             else:
                 mean = _decode_matrix(entry["mean"], f"{fname}.mean")
             try:
-                link_row.append(ChannelDistribution(mean=mean, cov_t=cov))
+                link_row.append(GapSpec(mean=mean, cov=cov))
             except EwsrgapError as exc:
                 raise ValidationError(f"link ({k},{j}) invalid: {exc}") from exc
         links.append(link_row)
@@ -415,7 +382,7 @@ def save_scenario(scenario: IbcScenario, path, precoders: PrecoderSet | None = N
                     "mean": None
                     if not np.any(link.mean)
                     else _encode_matrix(link.mean),
-                    "cov_t": _encode_matrix(link.cov_t),
+                    "cov_t": _encode_matrix(link.cov),
                 }
                 for link in row
             ]

@@ -40,7 +40,14 @@ from .channel import (
     uniform_power_precoders,
 )
 from .errors import EwsrgapError, ParseError, UnsupportedCase, ValidationError
-from .gap import GapSpec, gamma_inf_miso_iid, gamma_rho, monotonicity_sweep, taylor_gamma2
+from .gap import (
+    GapSpec,
+    check_spec_size,
+    gamma_inf_miso_iid,
+    gamma_rho,
+    monotonicity_sweep,
+    taylor_gamma2,
+)
 from .oracle import exact_e_log_miso_iid
 from .rates import ewsr_monte_carlo, sandwich_bounds
 from .verify import run_suite
@@ -192,6 +199,8 @@ def cmd_fig1(args) -> int:
 
 def cmd_fig2(args) -> int:
     scale = 1.0 / _LN2 if args.bits else 1.0
+    for M in args.tx_antennas:  # before any covariance, mean or draw is allocated
+        check_spec_size(args.rx_antennas, M)
     cov = _load_cov_file(args.cov) if args.cov else None
     rows = []
     for M in args.tx_antennas:

@@ -3,8 +3,11 @@
 Every error raised on purpose by this package is one of the classes
 below. All of them derive from EwsrgapError, so callers can catch the
 whole package at once, by family (ValueError / IndexError /
-RuntimeError) or by exact type.
+RuntimeError) or by exact type. check_integer is the one validator of
+integer arguments outside the scenario loader and the CLI.
 """
+
+import numbers
 
 
 class EwsrgapError(Exception):
@@ -15,7 +18,7 @@ class DomainError(EwsrgapError, ValueError):
     """An argument is outside the mathematical domain of the operation."""
 
 
-class DimensionMismatch(EwsrgapError, ValueError):
+class DimensionMismatch(DomainError):
     """Matrix or vector shapes are inconsistent with each other."""
 
 
@@ -65,3 +68,13 @@ class ValidationError(EwsrgapError, ValueError):
 
 class IndexOutOfRange(EwsrgapError, IndexError):
     """A user or cell index is outside the scenario's range."""
+
+
+def check_integer(value, name: str) -> int:
+    """value as an int when it is an integer >= 1, else DomainError.
+
+    numpy integers count as integers; bools, an int subclass, do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)

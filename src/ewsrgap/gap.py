@@ -18,17 +18,36 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateSpectrum, DomainError
-from .mc import MonteCarloEstimate, complex_normal, vector_stats
+from .errors import DegenerateSpectrum, DimensionMismatch, DomainError, check_integer
+from .mc import CHUNK_SIZE, MonteCarloEstimate, complex_normal, vector_stats
 from .special import euler_gamma, harmonic
+
+# Most entries a spec's covariance or one Monte-Carlo chunk may hold:
+# max(width * width, CHUNK_SIZE * n_rx * max(n_rx, width)), 2 GiB of
+# complex doubles.
+MAX_CHUNK_ENTRIES = 2**27
+
+
+def check_spec_size(n_rx: int, width: int) -> None:
+    """Reject an n_rx x width spec whose covariance, one-chunk draw or
+    Gram batch would exceed MAX_CHUNK_ENTRIES; run it before allocating
+    the spec."""
+    entries = max(width * width, CHUNK_SIZE * n_rx * max(n_rx, width))
+    if entries > MAX_CHUNK_ENTRIES:
+        raise DomainError(
+            f"a {n_rx} x {width} channel needs {entries:.3g} entries in its "
+            f"covariance or one Monte-Carlo chunk, above the limit of {MAX_CHUNK_ENTRIES}"
+        )
 
 
 @dataclass(eq=False)
 class GapSpec:
-    """Effective (mean, cov) pair whose Gram-log-det gap is studied.
+    """A Gaussian channel H = mean + W sqrt(cov), W i.i.d. CN(0, 1).
 
-    mean is N x M complex (may be zero); cov is M x M Hermitian PSD and
-    plays the role of the transmit-side covariance of the perturbation.
+    mean is N x M complex (may be zero; a 1-d mean is one row); cov is
+    M x M Hermitian PSD, the transmit-side covariance of the
+    perturbation. It describes a scenario's links as well as the
+    effective channels whose Gram-log-det gap is studied.
     """
 
     mean: np.ndarray
@@ -37,9 +56,13 @@ class GapSpec:
     def __post_init__(self):
         self.mean = np.atleast_2d(np.asarray(self.mean, dtype=complex))
         self.cov = np.asarray(self.cov, dtype=complex)
+        if self.mean.ndim != 2:
+            raise DimensionMismatch(f"mean must be 1-d or 2-d, got shape {self.mean.shape}")
+        check_spec_size(*self.mean.shape)
+        # hermitian_sqrt validates Hermitian PSD and is cached for sampling.
         self._sqrt = linalg.hermitian_sqrt(self.cov)
         if self.mean.shape[1] != self.cov.shape[0]:
-            raise DomainError(
+            raise DimensionMismatch(
                 f"mean has {self.mean.shape[1]} columns, cov is {self.cov.shape}"
             )
 
@@ -177,14 +200,13 @@ def monotonicity_sweep(
         ]
         return SweepResult(ests, np.zeros(max(rhos.size - 1, 0)))
 
-    mean_shape = spec.mean.shape
     mean = spec.mean
     S = spec.cov_sqrt
     positive = rhos > 0.0
     rho_pos = rhos[positive]
 
     def evaluate(rng, count):
-        W = complex_normal(rng, (count,) + mean_shape)
+        W = complex_normal(rng, (count,) + mean.shape)
         H = mean + W @ S
         vals = np.zeros((count, rhos.size))
         if rho_pos.size:
@@ -213,8 +235,7 @@ def gamma_inf_miso_iid(M: int) -> float:
     Equals gamma + ln M - H_{M-1}, which is also
     gamma - (H_M - ln M) + 1/M.
     """
-    if not isinstance(M, (int, np.integer)) or isinstance(M, bool) or M < 1:
-        raise DomainError(f"M must be a positive integer, got {M!r}")
+    M = check_integer(M, "M")
     h = harmonic(M - 1) if M > 1 else 0.0
     return euler_gamma() + float(np.log(M)) - h
 
@@ -228,18 +249,23 @@ def gamma_inf_miso_corr(spectrum: EigenSpectrum) -> float:
     invariant under scaling every eigenvalue by the same factor.
     """
     lam = spectrum.lambdas
-    if lam.size > 1:
-        gaps = np.abs(lam[:, None] - lam[None, :]) / np.maximum(
-            np.abs(lam[:, None]), np.abs(lam[None, :])
+    gap = min_relative_gap(lam)
+    if gap <= 1e-6:
+        raise DegenerateSpectrum(
+            "eigenvalues too close for the partial-fraction form "
+            f"(min relative gap {gap:.2e} <= 1e-6)"
         )
-        np.fill_diagonal(gaps, np.inf)
-        if gaps.min() <= 1e-6:
-            raise DegenerateSpectrum(
-                "eigenvalues too close for the partial-fraction form "
-                f"(min relative gap {gaps.min():.2e} <= 1e-6)"
-            )
     w = partial_fraction_weights(lam)
     return euler_gamma() - (float(np.sum(w * np.log(lam))) - float(np.log(lam.sum())))
+
+
+def min_relative_gap(lam) -> float:
+    """Smallest |lambda_i - lambda_j| / max(lambda_i, lambda_j) over pairs
+    i != j of positive eigenvalues; inf for fewer than two."""
+    lam = np.asarray(lam, dtype=float)
+    gaps = np.abs(np.subtract.outer(lam, lam)) / np.maximum.outer(lam, lam)
+    np.fill_diagonal(gaps, np.inf)
+    return float(gaps.min(initial=np.inf))
 
 
 def partial_fraction_weights(lam: np.ndarray) -> np.ndarray:
@@ -256,10 +282,7 @@ def gamma_inf_mimo_iid(M: int, N_k: int) -> float:
     Sum over receive dimensions of MISO gaps:
     sum_{i=1}^{N_k} (gamma + ln M - H_{M-i}).
     """
-    if not isinstance(M, (int, np.integer)) or isinstance(M, bool) or M < 1:
-        raise DomainError(f"M must be a positive integer, got {M!r}")
-    if not isinstance(N_k, (int, np.integer)) or isinstance(N_k, bool) or N_k < 1:
-        raise DomainError(f"N_k must be a positive integer, got {N_k!r}")
+    M, N_k = check_integer(M, "M"), check_integer(N_k, "N_k")
     if N_k > M:
         raise DomainError(f"closed form requires N_k <= M, got N_k={N_k}, M={M}")
     g, lnM = euler_gamma(), float(np.log(M))
@@ -302,8 +325,7 @@ def taylor_gamma2_inf_zero_mean(C, N: int) -> float:
 
     (N^2 / 2) tr(C^2) / (tr C)^2, invariant under scaling of C.
     """
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 1:
-        raise DomainError(f"N must be a positive integer, got {N!r}")
+    N = check_integer(N, "N")
     C = np.asarray(C, dtype=complex)
     trc = np.trace(C).real
     if not trc > 0.0:

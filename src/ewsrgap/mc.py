@@ -64,7 +64,8 @@ def vector_stats(n_samples, seed, evaluate, workers=1, track_diffs=False):
     whose generator it is handed. Returns (mean, std_error) of shape
     (P,), plus the standard error of successive component differences
     (shape (P-1,)) when track_diffs is set; paired per-sample diffs are
-    what make CRN sweeps resolvable.
+    what make CRN sweeps resolvable. Raises DomainError when a sum
+    overflows the float range.
     """
     if n_samples < 2:
         raise DomainError(f"need at least 2 samples, got {n_samples}")
@@ -72,11 +73,12 @@ def vector_stats(n_samples, seed, evaluate, workers=1, track_diffs=False):
 
     def partial(i):
         v = np.atleast_2d(np.asarray(evaluate(chunk_stream(seed, i), sizes[i])))
-        s1 = v.sum(axis=0)
-        s2 = (v * v).sum(axis=0)
-        if track_diffs:
-            d = np.diff(v, axis=1)
-            return s1, s2, d.sum(axis=0), (d * d).sum(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked after the reduction
+            s1 = v.sum(axis=0)
+            s2 = (v * v).sum(axis=0)
+            if track_diffs:
+                d = np.diff(v, axis=1)
+                return s1, s2, d.sum(axis=0), (d * d).sum(axis=0)
         return s1, s2, None, None
 
     if workers > 1 and len(sizes) > 1:
@@ -85,23 +87,22 @@ def vector_stats(n_samples, seed, evaluate, workers=1, track_diffs=False):
     else:
         parts = [partial(i) for i in range(len(sizes))]
 
-    # Ordered reduction: identical result for any worker count.
-    s1 = parts[0][0].copy()
-    s2 = parts[0][1].copy()
-    for p in parts[1:]:
-        s1 += p[0]
-        s2 += p[1]
     n = float(n_samples)
-    mean = s1 / n
-    var = np.maximum(s2 - n * mean * mean, 0.0) / (n - 1.0)
-    se = np.sqrt(var / n)
-    if not track_diffs:
-        return mean, se, None
-    d1 = parts[0][2].copy()
-    d2 = parts[0][3].copy()
-    for p in parts[1:]:
-        d1 += p[2]
-        d2 += p[3]
-    dmean = d1 / n
-    dvar = np.maximum(d2 - n * dmean * dmean, 0.0) / (n - 1.0)
-    return mean, se, np.sqrt(dvar / n)
+
+    def reduce(a):
+        """Mean and standard error from the sums in fields a and a + 1,
+        added in chunk order: identical for any worker count."""
+        s1, s2 = parts[0][a].copy(), parts[0][a + 1].copy()
+        for p in parts[1:]:
+            s1 += p[a]
+            s2 += p[a + 1]
+        mean = s1 / n
+        var = np.maximum(s2 - n * mean * mean, 0.0) / (n - 1.0)
+        return mean, np.sqrt(var / n)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, se = reduce(0)
+        diff_se = reduce(2)[1] if track_diffs else None
+    if not all(np.isfinite(a).all() for a in (mean, se, diff_se) if a is not None):
+        raise DomainError("the sampled values overflow the float range")
+    return mean, se, diff_se

@@ -9,10 +9,11 @@ these are the references the estimators are tested against.
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.special import gammaln
+import math
 
-from .errors import DegenerateSpectrum, DomainError
+import numpy as np
+
+from .errors import DegenerateSpectrum, DomainError, check_integer
 from .gap import EigenSpectrum, GapSpec, partial_fraction_weights
 from .mc import MonteCarloEstimate, complex_normal
 from .special import expn_scaled, gauss_laguerre
@@ -32,15 +33,14 @@ def exact_e_log_miso_iid(M: int, rho: float) -> float:
     including rho far beyond where quadrature on the log integrand is
     trustworthy.
     """
-    if not isinstance(M, (int, np.integer)) or isinstance(M, bool) or M < 1:
-        raise DomainError(f"M must be a positive integer, got {M!r}")
+    M = check_integer(M, "M")
     rho = float(rho)
     if rho < 0.0:
         raise DomainError(f"rho must be nonnegative, got {rho}")
     if rho == 0.0:
         return 0.0
     s = 1.0 / rho
-    return float(sum(expn_scaled(k, s) for k in range(1, int(M) + 1)))
+    return float(sum(expn_scaled(k, s) for k in range(1, M + 1)))
 
 
 def exact_e_log_miso_corr(spectrum: EigenSpectrum, rho: float) -> float:
@@ -79,8 +79,7 @@ def e_log_quadrature(M: int, rho: float, n_nodes: int = 128) -> float:
     exact_e_log_miso_iid when that regime matters; this evaluator
     exists as an independent cross-check.
     """
-    if not isinstance(M, (int, np.integer)) or isinstance(M, bool) or M < 1:
-        raise DomainError(f"M must be a positive integer, got {M!r}")
+    M = check_integer(M, "M")
     rho = float(rho)
     if rho < 0.0:
         raise DomainError(f"rho must be nonnegative, got {rho}")
@@ -88,7 +87,7 @@ def e_log_quadrature(M: int, rho: float, n_nodes: int = 128) -> float:
         return 0.0
     rule = gauss_laguerre(n_nodes)
     x = rule.nodes
-    log_density = (M - 1) * np.log(x) - gammaln(M)
+    log_density = (M - 1) * np.log(x) - math.lgamma(M)
     return float(np.sum(rule.weights * np.exp(log_density) * np.log1p(rho * x)))
 
 
@@ -105,20 +104,16 @@ def bartlett_sample(M: int, N_k: int, rng: np.random.Generator, size=None):
     size=None yields one draw (shapes (N_k,), (N_k, N_k)); an integer
     yields batched leading dimensions.
     """
-    if not isinstance(M, (int, np.integer)) or isinstance(M, bool) or M < 1:
-        raise DomainError(f"M must be a positive integer, got {M!r}")
-    if not isinstance(N_k, (int, np.integer)) or isinstance(N_k, bool) or N_k < 1:
-        raise DomainError(f"N_k must be a positive integer, got {N_k!r}")
+    M, N_k = check_integer(M, "M"), check_integer(N_k, "N_k")
     if N_k > M:
         raise DomainError(f"Bartlett sampling requires N_k <= M, got {N_k} > {M}")
     n = 1 if size is None else int(size)
-    N = int(N_k)
-    D = np.empty((n, N))
-    for i in range(N):
+    D = np.empty((n, N_k))
+    for i in range(N_k):
         D[:, i] = rng.standard_gamma(M - i, size=n)
-    T = complex_normal(rng, (n, N, N))
+    T = complex_normal(rng, (n, N_k, N_k))
     L = np.tril(T, k=-1) / np.sqrt(D)[:, None, :]
-    idx = np.arange(N)
+    idx = np.arange(N_k)
     L[:, idx, idx] = 1.0
     if size is None:
         return D[0], L[0]

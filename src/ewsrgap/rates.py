@@ -28,6 +28,7 @@ from .gap import (
     gamma_inf_mimo_iid,
     gamma_inf_miso_corr,
     gamma_rho,
+    min_relative_gap,
     taylor_gamma2_inf_zero_mean,
 )
 from .mc import MonteCarloEstimate, complex_normal, vector_stats
@@ -148,10 +149,11 @@ def _term_evaluator(specs, weights):
         out = np.zeros((count, 1 + 2 * K))
         for k, ((spec, own), weight) in enumerate(zip(specs, weights)):
             W = complex_normal(rng, (count,) + spec.mean.shape)
-            sig, intf = _rate_terms(spec.mean + W @ spec.cov_sqrt, own)
-            out[:, 1 + k] = sig
-            out[:, 1 + K + k] = intf
-            out[:, 0] += weight * (sig - intf)
+            with np.errstate(over="ignore", invalid="ignore"):  # raised after the sums
+                sig, intf = _rate_terms(spec.mean + W @ spec.cov_sqrt, own)
+                out[:, 1 + k] = sig
+                out[:, 1 + K + k] = intf
+                out[:, 0] += weight * (sig - intf)
         return out
 
     return evaluate
@@ -159,7 +161,7 @@ def _term_evaluator(specs, weights):
 
 def _deterministic(scenario) -> bool:
     return all(
-        np.trace(link.cov_t).real <= 0.0 for row in scenario.links for link in row
+        np.trace(link.cov).real <= 0.0 for row in scenario.links for link in row
     )
 
 
@@ -205,8 +207,6 @@ def user_term_estimates(
     mean, se, _ = vector_stats(
         n_samples, seed, _term_evaluator(specs, weights), workers=workers
     )
-    if not np.isfinite(mean).all():
-        raise DomainError("the sampled rate terms overflow the float range")
 
     def estimate(i):
         return MonteCarloEstimate(float(mean[i]), float(se[i]), n_samples, seed)
@@ -264,11 +264,8 @@ def _gamma_limit(eff: GapSpec, method: str, n_samples: int, seed: int, workers: 
             if rank >= N:
                 return gamma_inf_mimo_iid(rank, N)
             return None
-        if N == 1:
-            gaps = np.abs(np.subtract.outer(lam, lam)) / np.maximum.outer(lam, lam)
-            np.fill_diagonal(gaps, np.inf)
-            if gaps.min() > 1e-6:
-                return gamma_inf_miso_corr(EigenSpectrum(lam))
+        if N == 1 and min_relative_gap(lam) > 1e-6:
+            return gamma_inf_miso_corr(EigenSpectrum(lam))
         return None
 
     if method == "closed-form":

@@ -1,10 +1,10 @@
 """Special functions and quadrature backing the closed-form gap limits.
 
-Euler's constant, harmonic numbers, the exponential integral E1 (and
-its scaled generalizations), Gauss-Laguerre rules, and Gamma-variate
+Euler's constant, harmonic numbers, the exponential integrals E1 and
+E_n (and their scaled forms), Gauss-Laguerre rules, and Gamma-variate
 sampling. These are the only pieces of classical analysis the rest of
-the package relies on, so they are kept together and tested against
-independent identities.
+the package relies on, so they are kept together, built on numpy and
+the standard library alone, and tested against independent identities.
 """
 
 from __future__ import annotations
@@ -13,16 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 
-# Largest argument for which exp(x) * scipy E_n(x) is formed directly;
-# beyond it E_n(x) underflows toward subnormals and the scaled
-# continued fraction takes over.
-_SCALED_SPLIT = 600.0
-
-# Machine epsilon for the Lentz iterations below.
+# Machine epsilon for the series and Lentz iterations below.
 _EPS = np.finfo(float).eps
 
 
@@ -58,12 +52,8 @@ def harmonic(M: int) -> float:
     float
         H_M.
     """
-    if not isinstance(M, (int, np.integer)) or isinstance(M, bool):
-        raise DomainError(f"harmonic expects an integer M >= 1, got {M!r}")
-    if M < 1:
-        raise DomainError(f"harmonic is defined for M >= 1, got M={M}")
     total = 0.0
-    for k in range(int(M), 0, -1):
+    for k in range(check_integer(M, "harmonic M"), 0, -1):
         total += 1.0 / k
     return total
 
@@ -88,46 +78,35 @@ def exp_integral_e1(x: float) -> float:
     if not x > 0.0:
         raise DomainError(f"exp_integral_e1 requires x > 0, got {x}")
     if x <= 1.0:
-        # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^{k+1} x^k / (k k!)
-        total = -float(np.euler_gamma) - math.log(x)
-        term = 1.0
-        for k in range(1, 60):
-            term *= -x / k
-            contrib = -term / k
-            total += contrib
-            if abs(contrib) < _EPS * abs(total):
-                break
-        return total
-    return math.exp(-x) * _e1_cf_scaled(x)
+        return _en_series(1, x)
+    return math.exp(-x) * _en_cf_scaled(1, x)
 
 
-def _e1_cf_scaled(x: float) -> float:
-    """e^x * E1(x) for x > 1 via the even-contracted continued fraction."""
-    # K = (x+1) - 1^2/((x+3) - 2^2/((x+5) - ...)), E1 = e^{-x}/K.
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    f = d
-    for j in range(1, 200):
-        a = -float(j * j)
-        b += 2.0
-        d = b + a * d
-        if abs(d) < tiny:
-            d = tiny
-        c = b + a / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < _EPS:
-            return f
-    raise DomainError(f"continued fraction for E1 failed to converge at x={x}")
+def _en_series(n: int, x: float) -> float:
+    """E_n(x) for 0 < x <= 1 by its power series (A&S 5.1.12).
+
+    E_n(x) = (-x)^{n-1}/(n-1)! (psi(n) - ln x)
+             - sum_{k >= 0, k != n-1} (-x)^k / ((k - n + 1) k!),
+    with psi(n) = -gamma + H_{n-1}. For n = 1 the k = 0 term is the
+    -gamma - ln x the sum starts from.
+    """
+    m = n - 1
+    total = 1.0 / m if m else -float(np.euler_gamma) - math.log(x)
+    term = 1.0
+    for k in range(1, 100):
+        term *= -x / k
+        if k == m:
+            contrib = term * (harmonic(m) - float(np.euler_gamma) - math.log(x))
+        else:
+            contrib = -term / (k - m)
+        total += contrib
+        if abs(contrib) < _EPS * abs(total):
+            break
+    return total
 
 
 def _en_cf_scaled(n: int, x: float) -> float:
-    """e^x * E_n(x) for large x via the generalized continued fraction."""
+    """e^x * E_n(x) for x > 1 via the even-contracted continued fraction."""
     # K = (x+n) - 1*n/((x+n+2) - 2(n+1)/((x+n+4) - ...)), E_n = e^{-x}/K.
     tiny = 1e-300
     b = x + n
@@ -154,8 +133,8 @@ def _en_cf_scaled(n: int, x: float) -> float:
 def expn_scaled(n: int, x: float) -> float:
     """e^x * E_n(x) for x > 0, stable for arbitrarily large x.
 
-    For x <= 600 the product is formed directly (E_n stays normal
-    there); above that the scaled continued fraction is used, so the
+    For x <= 1 the power series of E_n is scaled by e^x; above that the
+    continued fraction yields the scaled product directly, so the
     result never over- or underflows even though e^x and E_n(x)
     individually would.
 
@@ -171,17 +150,12 @@ def expn_scaled(n: int, x: float) -> float:
     float
         e^x E_n(x).
     """
-    if n < 1:
-        raise DomainError(f"expn_scaled requires order n >= 1, got {n}")
+    n = check_integer(n, "expn_scaled order n")
     x = float(x)
     if not x > 0.0:
         raise DomainError(f"expn_scaled requires x > 0, got {x}")
-    if x <= _SCALED_SPLIT:
-        if n == 1:
-            base = exp_integral_e1(x)
-        else:
-            base = float(scipy.special.expn(n, x))
-        return math.exp(x) * base
+    if x <= 1.0:
+        return math.exp(x) * _en_series(n, x)
     return _en_cf_scaled(n, x)
 
 
@@ -216,7 +190,9 @@ class QuadratureRule:
 def gauss_laguerre(n: int) -> QuadratureRule:
     """Gauss-Laguerre rule with n points for weight e^{-x} on [0, inf).
 
-    Integrates polynomials of degree <= 2n-1 exactly. For n above
+    Integrates polynomials of degree <= 2n-1 exactly. The nodes are the
+    eigenvalues of the Jacobi matrix, polished by one Newton step; the
+    weights 1 / (x_i L_n'(x_i)^2) are formed in log space. For n above
     roughly 200 the smallest weights underflow double precision to
     exact zero; those node/weight pairs are dropped (they cannot
     contribute to any double-precision quadrature sum), so the
@@ -232,13 +208,36 @@ def gauss_laguerre(n: int) -> QuadratureRule:
     -------
     QuadratureRule
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise DomainError(f"gauss_laguerre expects an integer point count, got {n!r}")
-    if n < 1 or n > 256:
+    n = check_integer(n, "gauss_laguerre point count")
+    if n > 256:
         raise DomainError(f"gauss_laguerre supports 1 <= n <= 256, got {n}")
-    nodes, weights = scipy.special.roots_laguerre(int(n))
+    k = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) + np.diag(k, 1) + np.diag(k, -1))
+    L_n, diff, _ = _laguerre(n, x)
+    x -= x * L_n / (n * diff)  # Newton step, as x L_n' = n (L_n - L_{n-1})
+    _, diff, log_scale = _laguerre(n, x)
+    # at a root, 1 / (x L_n'^2) = x / (n (L_n - L_{n-1}))^2
+    weights = np.exp(np.log(x) - 2.0 * (math.log(n) + np.log(np.abs(diff)) + log_scale))
     keep = weights > 0.0
-    return QuadratureRule(nodes=nodes[keep], weights=weights[keep])
+    return QuadratureRule(nodes=x[keep], weights=weights[keep])
+
+
+def _laguerre(n: int, x: np.ndarray):
+    """(L_n(x), L_n(x) - L_{n-1}(x), s), both values divided by e^s.
+
+    Runs the three-term recurrence in its difference form,
+    (k+1)(L_{k+1} - L_k) = k (L_k - L_{k-1}) - x L_k, which loses less
+    to cancellation at large x, and divides the pair by its larger
+    magnitude at every step, accumulating the logs in s, so no order
+    overflows at the largest nodes.
+    """
+    L, diff, log_scale = np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
+    for k in range(n):
+        diff = (k * diff - x * L) / (k + 1)
+        L = L + diff
+        top = np.maximum(np.abs(L), np.abs(diff))
+        L, diff, log_scale = L / top, diff / top, log_scale + np.log(top)
+    return L, diff, log_scale
 
 
 def sample_gamma(shape: float, rng: np.random.Generator) -> float:

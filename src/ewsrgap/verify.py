@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import (
-    ChannelDistribution,
     IbcScenario,
     PrecoderSet,
     UserConfig,
@@ -28,6 +27,7 @@ from .gap import (
     gamma_inf_mimo_iid,
     gamma_inf_miso_corr,
     gamma_rho,
+    min_relative_gap,
     monotonicity_sweep,
     partial_fraction_weights,
     taylor_gamma2,
@@ -91,9 +91,9 @@ def random_zero_mean_scenario(seed: int, n_cells=None, n_users=None):
         budgets = [float(rng.uniform(2.0, 20.0)) for _ in range(C)]
         links = [
             [
-                ChannelDistribution(
+                GapSpec(
                     mean=np.zeros((1, bs_antennas[j]), dtype=complex),
-                    cov_t=random_psd_cov(rng, bs_antennas[j], float(rng.uniform(0.5, 2.0))),
+                    cov=random_psd_cov(rng, bs_antennas[j], float(rng.uniform(0.5, 2.0))),
                 )
                 for j in range(C)
             ]
@@ -128,11 +128,7 @@ def _sandwich_spectra_ok(scenario, precoders) -> bool:
                 lam = EigenSpectrum.from_matrix(eff.cov, rel_tol=1e-9).lambdas
             except DegenerateSpectrum:
                 return False
-            if lam.size < 2:
-                continue
-            gaps = np.abs(np.subtract.outer(lam, lam)) / np.maximum.outer(lam, lam)
-            np.fill_diagonal(gaps, np.inf)
-            if gaps.min() <= 1e-4:
+            if min_relative_gap(lam) <= 1e-4:
                 return False
     return True
 

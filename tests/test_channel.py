@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ewsrgap.channel import (
-    ChannelDistribution,
     IbcScenario,
     PrecoderSet,
     UserConfig,
@@ -24,6 +23,7 @@ from ewsrgap.errors import (
     ParseError,
     ValidationError,
 )
+from ewsrgap.gap import GapSpec
 from ewsrgap.mc import complex_normal
 
 
@@ -39,25 +39,27 @@ def rng():
 
 
 class TestChannelDistribution:
+    """Links are GapSpec instances sampled by sample_channel."""
+
     def test_zero_cov_samples_equal_mean(self, rng):
         mean = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        dist = ChannelDistribution(mean=mean, cov_t=np.zeros((3, 3)))
+        spec = GapSpec(mean=mean, cov=np.zeros((3, 3)))
         for _ in range(5):
-            assert np.array_equal(sample_channel(dist, rng), mean)
+            assert np.array_equal(sample_channel(spec, rng), mean)
 
     def test_shape_checks(self, rng):
         with pytest.raises(DimensionMismatch):
-            ChannelDistribution(mean=np.zeros((2, 3)), cov_t=np.eye(2))
+            GapSpec(mean=np.zeros((2, 3)), cov=np.eye(2))
         with pytest.raises(DimensionMismatch):
-            ChannelDistribution(mean=np.zeros(3), cov_t=np.eye(3))
+            GapSpec(mean=np.zeros((1, 2, 3)), cov=np.eye(3))
 
     def test_rx_side_empirical_covariance(self, rng):
-        # E (H - mean)(H - mean)^H = tr(cov_t) I
+        # E (H - mean)(H - mean)^H = tr(cov) I
         mean = np.ones((2, 3), dtype=complex)
         C = _random_psd(rng, 3)
-        dist = ChannelDistribution(mean=mean, cov_t=C)
+        spec = GapSpec(mean=mean, cov=C)
         n = 100_000
-        W = np.stack([sample_channel(dist, rng) - mean for _ in range(n)])
+        W = np.stack([sample_channel(spec, rng) - mean for _ in range(n)])
         outer = np.einsum("sij,skj->sik", W, W.conj())
         emp = outer.mean(axis=0)
         target = np.trace(C).real * np.eye(2)
@@ -67,11 +69,11 @@ class TestChannelDistribution:
         assert np.all(np.abs(emp.imag - target.imag) <= 3 * se_im + 1e-12)
 
     def test_tx_side_empirical_covariance(self, rng):
-        # E (H - mean)^H (H - mean) = n_rx * cov_t
+        # E (H - mean)^H (H - mean) = n_rx * cov
         C = _random_psd(rng, 3)
-        dist = ChannelDistribution(mean=np.zeros((2, 3)), cov_t=C)
+        spec = GapSpec(mean=np.zeros((2, 3)), cov=C)
         n = 100_000
-        W = np.stack([sample_channel(dist, rng) for _ in range(n)])
+        W = np.stack([sample_channel(spec, rng) for _ in range(n)])
         inner = np.einsum("sji,sjk->sik", W.conj(), W)
         emp = inner.mean(axis=0)
         target = 2 * C
@@ -112,22 +114,29 @@ def _two_user_one_cell(rng, M=3):
         mean = rng.standard_normal((u.rx_antennas, M)) + 1j * rng.standard_normal(
             (u.rx_antennas, M)
         )
-        links.append([ChannelDistribution(mean=mean, cov_t=_random_psd(rng, M))])
+        links.append([GapSpec(mean=mean, cov=_random_psd(rng, M))])
     return IbcScenario(bs_antennas=[M], users=users, power_budgets=[6.0], links=links)
 
 
 class TestScenarioValidation:
     def test_streams_exceed_rx_antennas(self, rng):
         users = [UserConfig(serving_bs=0, rx_antennas=1, streams=2, rate_weight=1.0)]
-        links = [[ChannelDistribution(mean=np.zeros((1, 4)), cov_t=np.eye(4))]]
+        links = [[GapSpec(mean=np.zeros((1, 4)), cov=np.eye(4))]]
         with pytest.raises(ValidationError, match="streams exceed rx antennas"):
             IbcScenario(bs_antennas=[4], users=users, power_budgets=[1.0], links=links)
 
     def test_link_shape_mismatch(self, rng):
         users = [UserConfig(serving_bs=0, rx_antennas=2, streams=1, rate_weight=1.0)]
-        links = [[ChannelDistribution(mean=np.zeros((1, 4)), cov_t=np.eye(4))]]
+        links = [[GapSpec(mean=np.zeros((1, 4)), cov=np.eye(4))]]
         with pytest.raises(ValidationError):
             IbcScenario(bs_antennas=[4], users=users, power_budgets=[1.0], links=links)
+
+    def test_vector_mean_link_rejected_for_two_antenna_user(self):
+        # GapSpec promotes a 1-d mean to one row, which a 2-antenna user cannot take
+        users = [UserConfig(serving_bs=0, rx_antennas=2, streams=1, rate_weight=1.0)]
+        links = [[GapSpec(mean=np.zeros(3), cov=np.eye(3))]]
+        with pytest.raises(ValidationError, match=r"\(1, 3\), expected \(2, 3\)"):
+            IbcScenario(bs_antennas=[3], users=users, power_budgets=[1.0], links=links)
 
     def test_budget_enforcement(self, rng):
         sc = _two_user_one_cell(rng)
@@ -178,7 +187,7 @@ def _two_cells(rng):
     ]
     links = [
         [
-            ChannelDistribution(mean=_random_mean(rng, 2, M), cov_t=_random_psd(rng, M))
+            GapSpec(mean=_random_mean(rng, 2, M), cov=_random_psd(rng, M))
             for M in (3, 2)
         ]
         for _ in users
@@ -208,7 +217,7 @@ class TestExpectedGram:
             bs_antennas=[4],
             users=[UserConfig(serving_bs=0, rx_antennas=4, streams=4, rate_weight=1.0)],
             power_budgets=[4.0],
-            links=[[ChannelDistribution(mean=np.zeros((4, 4)), cov_t=C)]],
+            links=[[GapSpec(mean=np.zeros((4, 4)), cov=C)]],
         )
         spec, _ = stream_spec(sc, PrecoderSet([np.eye(4)]), 0)
         assert spec.expected_gram() == pytest.approx(np.trace(C).real * np.eye(4), rel=1e-12)
@@ -249,7 +258,7 @@ class TestStreamSpec:
             bs_antennas=[3],
             users=users,
             power_budgets=[4.0],
-            links=[[ChannelDistribution(mean=mean, cov_t=C)]],
+            links=[[GapSpec(mean=mean, cov=C)]],
         )
         ps = uniform_power_precoders(sc)
         spec, own = stream_spec(sc, ps, 0)
@@ -270,7 +279,7 @@ class TestStreamSpec:
             assert own == want_own
             assert spec.mean.shape == (sc.users[k].rx_antennas, 3)
             assert spec.mean == pytest.approx(link.mean @ G, rel=1e-14)
-            assert spec.cov == pytest.approx(G.conj().T @ link.cov_t @ G, rel=1e-14)
+            assert spec.cov == pytest.approx(G.conj().T @ link.cov @ G, rel=1e-14)
             assert np.abs(spec.cov[:2, 2:]).max() > 0.0
 
     def test_two_cells_block_diagonal(self, rng):
@@ -287,8 +296,8 @@ class TestStreamSpec:
             assert spec.mean.shape == (2, 4)
             assert spec.mean[:, :2] == pytest.approx(l0.mean @ G0, rel=1e-14)
             assert spec.mean[:, 2:] == pytest.approx(l1.mean @ G1, rel=1e-14)
-            assert spec.cov[:2, :2] == pytest.approx(G0.conj().T @ l0.cov_t @ G0, rel=1e-14)
-            assert spec.cov[2:, 2:] == pytest.approx(G1.conj().T @ l1.cov_t @ G1, rel=1e-14)
+            assert spec.cov[:2, :2] == pytest.approx(G0.conj().T @ l0.cov @ G0, rel=1e-14)
+            assert spec.cov[2:, 2:] == pytest.approx(G1.conj().T @ l1.cov @ G1, rel=1e-14)
             assert np.array_equal(spec.cov[:2, 2:], np.zeros((2, 2)))
             assert np.array_equal(spec.cov[2:, :2], np.zeros((2, 2)))
 
@@ -316,14 +325,14 @@ class TestStreamSpec:
                 G = _cell_precoders(sc, ps, j)
                 Q = G @ G.conj().T
                 manual += link.mean @ Q @ link.mean.conj().T
-                manual += np.trace(Q @ link.cov_t).real * np.eye(2)
+                manual += np.trace(Q @ link.cov).real * np.eye(2)
             got = stream_spec(sc, ps, k)[0].expected_gram()
             assert got == pytest.approx(manual, rel=1e-12)
 
     def test_overflow_is_a_typed_error(self, rng):
         sc = _two_user_one_cell(rng)
         # finite entries whose precoded covariance G^H C G exceeds the float range
-        sc.links[0][0] = ChannelDistribution(mean=np.zeros((2, 3)), cov_t=1e308 * np.eye(3))
+        sc.links[0][0] = GapSpec(mean=np.zeros((2, 3)), cov=1e308 * np.eye(3))
         with pytest.raises(DomainError, match="overflow"):
             stream_spec(sc, uniform_power_precoders(sc), 0)
 
@@ -343,7 +352,7 @@ class TestScenarioJson:
         sc = load_scenario(p)
         assert sc.n_cells == 1 and sc.n_users == 1
         assert np.array_equal(sc.links[0][0].mean, np.zeros((1, 2)))
-        assert np.array_equal(sc.links[0][0].cov_t, np.eye(2))
+        assert np.array_equal(sc.links[0][0].cov, np.eye(2))
         assert sc.seed is None
 
     def test_streams_exceed_rx_from_file(self, tmp_path):
@@ -414,6 +423,15 @@ class TestScenarioJson:
             load_bundle(p)
         assert exc.value.field == field
 
+    def test_huge_rx_antennas_rejected_before_allocation(self, tmp_path):
+        # loaded, its first chunk would draw 4096 x 100000 x 100000 entries
+        doc = json.loads(json.dumps(MINIMAL_DOC))
+        doc["users"][0]["rx_antennas"] = 100_000
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=r"users\[0\]\.rx_antennas"):
+            load_scenario(p)
+
     def test_round_trip(self, tmp_path, rng):
         sc = _two_user_one_cell(rng)
         sc.seed = 11
@@ -427,12 +445,12 @@ class TestScenarioJson:
         assert [u.rate_weight for u in sc2.users] == [u.rate_weight for u in sc.users]
         for k in range(2):
             assert np.array_equal(sc2.links[k][0].mean, sc.links[k][0].mean)
-            assert np.array_equal(sc2.links[k][0].cov_t, sc.links[k][0].cov_t)
+            assert np.array_equal(sc2.links[k][0].cov, sc.links[k][0].cov)
             assert np.array_equal(ps2.matrices[k], ps.matrices[k])
 
     def test_zero_mean_saved_as_null(self, tmp_path):
         users = [UserConfig(serving_bs=0, rx_antennas=1, streams=1, rate_weight=1.0)]
-        links = [[ChannelDistribution(mean=np.zeros((1, 2)), cov_t=np.eye(2))]]
+        links = [[GapSpec(mean=np.zeros((1, 2)), cov=np.eye(2))]]
         sc = IbcScenario(bs_antennas=[2], users=users, power_budgets=[1.0], links=links)
         p = tmp_path / "zm.json"
         save_scenario(sc, p)

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -14,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ewsrgap.channel import (
-    ChannelDistribution,
     IbcScenario,
     UserConfig,
     load_bundle,
@@ -22,7 +22,7 @@ from ewsrgap.channel import (
 )
 from ewsrgap.cli import main
 from ewsrgap.errors import EwsrgapError
-from ewsrgap.gap import gamma_inf_miso_iid
+from ewsrgap.gap import GapSpec, gamma_inf_miso_iid
 
 LN2 = float(np.log(2.0))
 
@@ -177,6 +177,21 @@ class TestFig2:
         assert code == 2 and not out.exists()
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("n_rx, m", [("100000", "64"), ("1", "30000")])
+    def test_oversized_shape_is_one_line_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                     n_rx, m):
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("a covariance or a Monte-Carlo draw was allocated")
+
+        monkeypatch.setattr("ewsrgap.gap.complex_normal", no_alloc)
+        monkeypatch.setattr("ewsrgap.cli.exp_profile_cov", no_alloc)
+        out = tmp_path / "fig2.csv"
+        code = main(["fig2", "--rx-antennas", n_rx, "--tx-antennas", m,
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestSandwich:
     def test_bundled_demo_contained(self, tmp_path):
@@ -204,7 +219,7 @@ class TestSandwich:
             bs_antennas=[2],
             users=users,
             power_budgets=[2.0],
-            links=[[ChannelDistribution(mean=mean, cov_t=np.zeros((2, 2)))]],
+            links=[[GapSpec(mean=mean, cov=np.zeros((2, 2)))]],
         )
         path = tmp_path / "det.json"
         save_scenario(sc, path)
@@ -236,6 +251,23 @@ class TestSandwich:
     def test_missing_scenario_file(self, tmp_path, capsys):
         assert main(["sandwich", "--scenario", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("site, value", [
+        (("users", 0, "rate_weight"), 1e308),
+        (("links", 0, 0, "cov_t", 0, 0), [1e308, 0.0]),
+    ])
+    def test_overflow_fails_typed_without_warnings(self, tmp_path, capsys, site, value):
+        doc = copy.deepcopy(DEMO)
+        _mutate(doc, site, value)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sandwich", "--scenario", str(path), "--samples", "8192",
+                         "--workers", "2", "--out", str(tmp_path / "sw.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "overflow" in err and err.count("\n") == 1
 
 
 class TestVerify:
@@ -328,9 +360,9 @@ def _sites(doc, path=()):
 
 
 DELETE = object()
-# Integers stay small: an rx_antennas in the thousands is accepted and
-# makes every Monte-Carlo chunk form gigabytes of Grams, an open hole.
-NASTY = [None, True, False, 0, -1, 1, 3, 2.5, -0.5, 1e-300, 1e308, -1e308,
+# 10**5 antennas are rejected where they enter; an rx_antennas in the
+# low hundreds would load and make every chunk form gigabytes of Grams.
+NASTY = [None, True, False, 0, -1, 1, 3, 10**5, 2.5, -0.5, 1e-300, 1e308, -1e308,
          10**400, float("nan"), float("inf"), float("-inf"), "1", [], {}, [[]],
          [0.0, 0.0], [[[1.0, 0.0]]], DELETE]
 

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from ewsrgap.errors import DegenerateSpectrum, DomainError
+from ewsrgap.errors import DegenerateSpectrum, DomainError, check_integer
 from ewsrgap.gap import (
+    MAX_CHUNK_ENTRIES,
     EigenSpectrum,
     GapSpec,
+    check_spec_size,
     gamma_inf_mimo_iid,
     gamma_inf_miso_corr,
     gamma_inf_miso_iid,
     gamma_rho,
+    min_relative_gap,
     monotonicity_sweep,
     taylor_gamma2,
     taylor_gamma2_inf_zero_mean,
@@ -37,6 +40,30 @@ class TestGapSpec:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             GapSpec(mean=np.zeros((1, 3)), cov=np.eye(2))
+
+    def test_chunk_size_cap(self):
+        # max(width^2, 4096 x n_rx x max(n_rx, width)) entries, at most 2^27
+        assert MAX_CHUNK_ENTRIES == 2**27
+        check_spec_size(1, 11585)
+        check_spec_size(181, 1)
+        check_spec_size(4, 256)  # the largest benchmarked fig2 shape
+        for n_rx, width in [(1, 11586), (1, 30000), (182, 1), (100_000, 64)]:
+            with pytest.raises(DomainError, match="covariance or one Monte-Carlo chunk"):
+                check_spec_size(n_rx, width)
+
+
+def test_check_integer():
+    value = check_integer(np.int64(3), "n")
+    assert value == 3 and type(value) is int
+    for bad in (0, -1, 2.0, 2.5, True, np.bool_(True), "3", None):
+        with pytest.raises(DomainError, match="n must be an integer >= 1"):
+            check_integer(bad, "n")
+
+
+def test_min_relative_gap():
+    assert min_relative_gap([3.0, 1.0, 2.0]) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert min_relative_gap([2.0]) == np.inf
+    assert min_relative_gap([1.0, 1.0 + 1e-9]) < 1e-6
 
 
 class TestEigenSpectrum:

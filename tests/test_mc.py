@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,17 @@ class TestVectorStats:
         assert se == pytest.approx(v.std(axis=0, ddof=1) / np.sqrt(n), rel=1e-9)
         d = np.diff(v, axis=1)
         assert dse == pytest.approx(d.std(axis=0, ddof=1) / np.sqrt(n), rel=1e-9)
+
+    @pytest.mark.parametrize("value", [1e200, 1e308])
+    def test_overflow_is_a_typed_error_without_warnings(self, value):
+        # 1e200 overflows only the sum of squares, 1e308 the plain sum too
+        def huge(rng, count):
+            return np.full((count, 2), value)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow"):
+                vector_stats(2 * CHUNK_SIZE, 0, huge, workers=2, track_diffs=True)
 
     def test_paired_diff_error_smaller_than_marginals(self):
         _, se, dse = vector_stats(20_000, 3, _sum_stat, track_diffs=True)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ewsrgap.channel import (
-    ChannelDistribution,
     IbcScenario,
     PrecoderSet,
     UserConfig,
@@ -11,6 +10,7 @@ from ewsrgap.channel import (
     uniform_power_precoders,
 )
 from ewsrgap.errors import DimensionMismatch, DomainError, UnsupportedCase
+from ewsrgap.gap import GapSpec
 from ewsrgap.mc import complex_normal
 from ewsrgap.oracle import exact_e_log_miso_iid
 from ewsrgap.rates import (
@@ -34,7 +34,7 @@ def _single_user_mimo(rho=4.0, n=2, seed=0):
         bs_antennas=[n],
         users=[UserConfig(serving_bs=0, rx_antennas=n, streams=n, rate_weight=1.0)],
         power_budgets=[rho * n],
-        links=[[ChannelDistribution(mean=mean, cov_t=np.zeros((n, n)))]],
+        links=[[GapSpec(mean=mean, cov=np.zeros((n, n)))]],
     )
     ps = PrecoderSet([np.sqrt(rho) * np.eye(n)])
     return sc, ps
@@ -47,7 +47,7 @@ def _orthogonal_two_user_miso():
         UserConfig(serving_bs=0, rx_antennas=1, streams=1, rate_weight=1.0),
         UserConfig(serving_bs=0, rx_antennas=1, streams=1, rate_weight=2.0),
     ]
-    links = [[ChannelDistribution(mean=hk, cov_t=np.zeros((2, 2)))] for hk in h]
+    links = [[GapSpec(mean=hk, cov=np.zeros((2, 2)))] for hk in h]
     sc = IbcScenario(bs_antennas=[2], users=users, power_budgets=[2.0], links=links)
     ps = PrecoderSet([np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])])
     return sc, ps
@@ -62,7 +62,7 @@ def _symmetric_four_user_miso(rho=100.0, M=4):
         for _ in range(M)
     ]
     links = [
-        [ChannelDistribution(mean=np.zeros((1, M)), cov_t=np.eye(M))] for _ in users
+        [GapSpec(mean=np.zeros((1, M)), cov=np.eye(M))] for _ in users
     ]
     sc = IbcScenario(bs_antennas=[M], users=users, power_budgets=[rho], links=links)
     mats = []
@@ -84,7 +84,7 @@ def _two_user_mimo_random(seed=0):
         row = []
         for M in (4, 3):
             row.append(
-                ChannelDistribution(mean=np.zeros((2, M)), cov_t=np.eye(M))
+                GapSpec(mean=np.zeros((2, M)), cov=np.eye(M))
             )
         links.append(row)
     sc = IbcScenario(
@@ -113,7 +113,7 @@ def _two_cell_rician(seed=0):
         for M, gain in ((4, 1.0), (3, 0.4)):
             A = cn(M, M)
             C = A @ A.conj().T
-            row.append(ChannelDistribution(mean=0.6 * gain * cn(2, M), cov_t=gain * C / M))
+            row.append(GapSpec(mean=0.6 * gain * cn(2, M), cov=gain * C / M))
         links.append(row)
     sc = IbcScenario(bs_antennas=[4, 3], users=users, power_budgets=[6.0, 4.0], links=links)
     mats = [cn(sc.bs_antennas[u.serving_bs], u.streams) for u in users]
@@ -251,7 +251,7 @@ class TestEwsrMonteCarlo:
             users=sc.users,
             power_budgets=[8.0, 5.0, 1.0],
             links=[
-                row + [ChannelDistribution(mean=np.ones((2, 2)), cov_t=np.eye(2))]
+                row + [GapSpec(mean=np.ones((2, 2)), cov=np.eye(2))]
                 for row in sc.links
             ],
         )
@@ -293,7 +293,7 @@ class TestEseiWsr:
             bs_antennas=[N],
             users=[UserConfig(serving_bs=0, rx_antennas=N, streams=N, rate_weight=1.5)],
             power_budgets=[N + 1.0],
-            links=[[ChannelDistribution(mean=np.zeros((N, N)), cov_t=C)]],
+            links=[[GapSpec(mean=np.zeros((N, N)), cov=C)]],
         )
         ps = PrecoderSet([np.eye(N)])
         want = 1.5 * N * np.log1p(np.trace(C).real)
@@ -324,7 +324,7 @@ class TestEseiWsr:
             sc,
             ps,
             lambda k, j, Q: sc.links[k][j].mean @ Q @ sc.links[k][j].mean.conj().T
-            + np.trace(Q @ sc.links[k][j].cov_t).real * np.eye(2),
+            + np.trace(Q @ sc.links[k][j].cov).real * np.eye(2),
         )
         for got, (sig, intf) in zip(esei_terms(sc, ps), want):
             assert got == pytest.approx((sig, intf), rel=1e-12)
@@ -332,7 +332,7 @@ class TestEseiWsr:
     def test_lone_user_has_empty_interference_spec(self):
         # the only user of the only serving cell: nothing interferes
         sc, ps = _single_user_mimo()
-        sc.links[0][0] = ChannelDistribution(mean=sc.links[0][0].mean, cov_t=np.eye(2))
+        sc.links[0][0] = GapSpec(mean=sc.links[0][0].mean, cov=np.eye(2))
         (sig, intf), = _term_specs(sc, ps)
         assert sig.mean.shape == (2, 2)
         assert intf.mean.shape == (2, 0) and intf.cov.shape == (0, 0)
@@ -364,7 +364,7 @@ class TestSandwichBounds:
             bs_antennas=[1],
             users=[UserConfig(serving_bs=0, rx_antennas=1, streams=1, rate_weight=u1)],
             power_budgets=[3.0],
-            links=[[ChannelDistribution(mean=np.zeros((1, 1)), cov_t=np.eye(1))]],
+            links=[[GapSpec(mean=np.zeros((1, 1)), cov=np.eye(1))]],
         )
         ps = uniform_power_precoders(sc)
         sb = sandwich_bounds(sc, ps, "closed-form")
@@ -388,7 +388,7 @@ class TestSandwichBounds:
             UserConfig(serving_bs=0, rx_antennas=2, streams=2, rate_weight=0.5),
         ]
         links = [
-            [ChannelDistribution(mean=np.zeros((2, 4)), cov_t=np.eye(4))]
+            [GapSpec(mean=np.zeros((2, 4)), cov=np.eye(4))]
             for _ in users
         ]
         sc = IbcScenario(
@@ -410,8 +410,8 @@ class TestSandwichBounds:
 
     def test_closed_form_rejected_for_nonzero_mean(self):
         sc, ps = _single_user_mimo()
-        sc.links[0][0] = ChannelDistribution(
-            mean=sc.links[0][0].mean, cov_t=0.5 * np.eye(2)
+        sc.links[0][0] = GapSpec(
+            mean=sc.links[0][0].mean, cov=0.5 * np.eye(2)
         )
         with pytest.raises(UnsupportedCase):
             sandwich_bounds(sc, ps, "closed-form")
@@ -420,8 +420,8 @@ class TestSandwichBounds:
 
     def test_monte_carlo_fallback_for_nonzero_mean(self):
         sc, ps = _single_user_mimo(rho=2.0)
-        sc.links[0][0] = ChannelDistribution(
-            mean=sc.links[0][0].mean, cov_t=0.5 * np.eye(2)
+        sc.links[0][0] = GapSpec(
+            mean=sc.links[0][0].mean, cov=0.5 * np.eye(2)
         )
         sb = sandwich_bounds(sc, ps, "auto", n_samples=20_000, seed=1)
         assert sb.method_per_user[0] == "monte-carlo-high-snr"
@@ -438,7 +438,7 @@ class TestSandwichBounds:
             bs_antennas=[3],
             users=[UserConfig(serving_bs=0, rx_antennas=2, streams=2, rate_weight=1.0)],
             power_budgets=[4.0],
-            links=[[ChannelDistribution(mean=np.zeros((2, 3)), cov_t=C)]],
+            links=[[GapSpec(mean=np.zeros((2, 3)), cov=C)]],
         )
         ps = uniform_power_precoders(sc)
         sb = sandwich_bounds(sc, ps, "taylor")

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +9,11 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ewsrgap
 from ewsrgap.errors import DomainError
 from ewsrgap.mc import chunk_stream
 from ewsrgap.special import (
     QuadratureRule,
-    _e1_cf_scaled,
     _en_cf_scaled,
     euler_gamma,
     exp_integral_e1,
@@ -104,12 +107,21 @@ class TestExpnScaled:
 
     @pytest.mark.parametrize("n", [1, 3, 9])
     def test_cf_branch_matches_direct_inside_split(self, n):
-        # the continued fraction only runs above the split in production;
-        # evaluate it below the split where the direct product is exact
+        # the continued fraction against the direct product where scipy's
+        # E_n stays normal
         for x in (50.0, 300.0, 599.0):
-            cf = _e1_cf_scaled(x) if n == 1 else _en_cf_scaled(n, x)
+            cf = _en_cf_scaled(n, x)
             direct = math.exp(x) * float(scipy.special.expn(n, x))
             assert cf == pytest.approx(direct, rel=1e-11)
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_matches_scipy_on_both_sides_of_one(self, n):
+        # the power series serves x <= 1, the continued fraction x > 1
+        xs = np.concatenate([np.geomspace(1e-8, 1.0, 25), [1.0 + 1e-12],
+                             np.geomspace(1.0 + 1e-9, 600.0, 25)])
+        got = [expn_scaled(n, x) for x in xs]
+        want = np.exp(xs) * scipy.special.expn(n, xs)
+        assert got == pytest.approx(want, rel=1e-11)
 
     def test_huge_argument_asymptote(self):
         # e^x E_n(x) ~ 1/(x+n); no overflow anywhere near x=1e8
@@ -149,6 +161,16 @@ class TestGaussLaguerre:
             assert log_moment == pytest.approx(
                 float(scipy.special.gammaln(k + 1)), abs=1e-10
             )
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 64, 128, 199, 200, 256])
+    def test_matches_scipy_roots_laguerre(self, n):
+        # scipy drops no point; its weights that underflow to zero are
+        # the ones this rule leaves out
+        nodes, weights = scipy.special.roots_laguerre(n)
+        keep = weights > 0.0
+        rule = gauss_laguerre(n)
+        assert rule.nodes == pytest.approx(nodes[keep], rel=1e-10)
+        assert rule.weights == pytest.approx(weights[keep], rel=1e-10)
 
     def test_weights_positive_and_normalized(self):
         for n in (2, 100, 256):
@@ -203,3 +225,12 @@ def test_e1_exponential_expectation_identity():
         vals = np.log1p(rho * rng.exponential(size=200_000))
         exact = math.exp(1.0 / rho) * exp_integral_e1(1.0 / rho)
         assert abs(vals.mean() - exact) <= 3.0 * vals.std(ddof=1) / math.sqrt(vals.size)
+
+
+def test_import_leaves_scipy_out():
+    # scipy is a test-only reference; the package needs numpy alone
+    code = "import sys, ewsrgap; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=Path(ewsrgap.__file__).parents[1])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
