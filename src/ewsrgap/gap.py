@@ -9,11 +9,19 @@ infinite-SNR value bounds it everywhere. This module provides the
 Monte-Carlo estimator of Gamma(rho), the closed-form infinite-SNR
 limits for the zero-mean i.i.d. MISO/MIMO and correlated MISO cases,
 and the deterministic second-order approximation Gamma_2.
+
+The estimator samples in the eigenbasis of cov = V diag(lambda) V^H.
+Since sqrt(cov) = V diag(sqrt(lambda)) V^H, H V = mean V + (W V)
+diag(sqrt(lambda)), and W V has the law of W because V is unitary. So
+it draws mean V + W diag(sqrt(lambda)), O(N M) per sample instead of
+the O(N M^2) product with the M x M root, and the Gram of that draw has
+the law of H H^H = (H V)(H V)^H.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +55,9 @@ class GapSpec:
     mean is N x M complex (may be zero; a 1-d mean is one row); cov is
     M x M Hermitian PSD, the transmit-side covariance of the
     perturbation. It describes a scenario's links as well as the
-    effective channels whose Gram-log-det gap is studied.
+    effective channels whose Gram-log-det gap is studied. ``spectrum``
+    is the one eigendecomposition of cov; the square root and the
+    eigenbasis sampler of the gap estimator both come from it.
     """
 
     mean: np.ndarray
@@ -59,8 +69,7 @@ class GapSpec:
         if self.mean.ndim != 2:
             raise DimensionMismatch(f"mean must be 1-d or 2-d, got shape {self.mean.shape}")
         check_spec_size(*self.mean.shape)
-        # hermitian_sqrt validates Hermitian PSD and is cached for sampling.
-        self._sqrt = linalg.hermitian_sqrt(self.cov)
+        self.spectrum = linalg.psd_eig(self.cov)  # validates Hermitian PSD
         if self.mean.shape[1] != self.cov.shape[0]:
             raise DimensionMismatch(
                 f"mean has {self.mean.shape[1]} columns, cov is {self.cov.shape}"
@@ -70,9 +79,10 @@ class GapSpec:
     def n_rx(self) -> int:
         return self.mean.shape[0]
 
-    @property
+    @cached_property
     def cov_sqrt(self) -> np.ndarray:
-        return self._sqrt
+        """The Hermitian root of cov, bit for bit linalg.hermitian_sqrt(cov)."""
+        return self.spectrum.sqrt()
 
     def is_zero_mean(self, rtol: float = 1e-12) -> bool:
         scale = np.sqrt(max(np.trace(self.cov).real, 0.0))
@@ -122,20 +132,6 @@ class EigenSpectrum:
     @property
     def p(self) -> int:
         return int(self.lambdas.size)
-
-
-def _gram_log_rates(H: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """Per-sample ln|I + rho H H^H| for a batch H of shape (n, N, M).
-
-    Returns shape (n, len(rhos)). Uses the Gram eigenvalues so the
-    whole rho grid is evaluated from one factorization per sample.
-    """
-    if H.shape[1] == 1:
-        g = np.sum(H.real**2 + H.imag**2, axis=(1, 2))[:, None]
-    else:
-        G = H @ np.conj(np.swapaxes(H, 1, 2))
-        g = np.clip(np.linalg.eigvalsh(G), 0.0, None)
-    return np.log1p(rhos[None, None, :] * g[:, :, None]).sum(axis=1)
 
 
 def _esei_term(spec: GapSpec, rho: float) -> float:
@@ -200,17 +196,22 @@ def monotonicity_sweep(
         ]
         return SweepResult(ests, np.zeros(max(rhos.size - 1, 0)))
 
-    mean = spec.mean
-    S = spec.cov_sqrt
+    # Draws of H V (see the module docstring), whose Gram is H H^H.
+    mean_v = spec.mean @ spec.spectrum.eigenvectors
+    shifted = bool(np.any(mean_v))
+    roots = spec.spectrum.roots()
     positive = rhos > 0.0
     rho_pos = rhos[positive]
 
     def evaluate(rng, count):
-        W = complex_normal(rng, (count,) + mean.shape)
-        H = mean + W @ S
+        H = complex_normal(rng, (count,) + mean_v.shape)
+        H *= roots
+        if shifted:
+            H += mean_v
         vals = np.zeros((count, rhos.size))
         if rho_pos.size:
-            vals[:, positive] = _gram_log_rates(H, rho_pos)
+            G = H @ np.conj(np.swapaxes(H, 1, 2))
+            vals[:, positive] = linalg.gram_log_rates(G, rho_pos)
         return vals
 
     mc_mean, mc_se, diff_se = vector_stats(
@@ -313,11 +314,13 @@ def taylor_gamma2(spec: GapSpec, rho: float) -> float:
         return 0.0
     N = spec.n_rx
     C = spec.cov
-    X = np.eye(N) + rho * spec.expected_gram()
-    Xi = np.linalg.inv(X)
-    t = np.trace(Xi).real
-    quad = np.trace(spec.mean.conj().T @ Xi @ spec.mean @ C).real
-    return 0.5 * rho * rho * (t * t * np.trace(C @ C).real + 2.0 * t * quad)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        X = np.eye(N) + rho * spec.expected_gram()
+        Xi = np.linalg.inv(X)
+        t = np.trace(Xi).real
+        quad = np.trace(spec.mean.conj().T @ Xi @ spec.mean @ C).real
+        value = 0.5 * rho * rho * (t * t * np.trace(C @ C).real + 2.0 * t * quad)
+    return _finite(value)
 
 
 def taylor_gamma2_inf_zero_mean(C, N: int) -> float:
@@ -330,4 +333,13 @@ def taylor_gamma2_inf_zero_mean(C, N: int) -> float:
     trc = np.trace(C).real
     if not trc > 0.0:
         raise DomainError("tr C must be positive")
-    return 0.5 * N * N * float(np.trace(C @ C).real) / (trc * trc)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        value = 0.5 * N * N * np.trace(C @ C).real / (trc * trc)
+    return _finite(value)
+
+
+def _finite(value) -> float:
+    """value as a float, or DomainError when it overflowed to inf or NaN."""
+    if not np.isfinite(value):
+        raise DomainError("the second-order gap overflows the float range")
+    return float(value)

@@ -59,6 +59,16 @@ class HermitianSpectrum:
         V = self.eigenvectors
         return (V * self.eigenvalues) @ V.conj().T
 
+    def roots(self) -> np.ndarray:
+        """Square roots of the eigenvalues, negative ones clipped to zero."""
+        return np.sqrt(np.clip(self.eigenvalues, 0.0, None))
+
+    def sqrt(self) -> np.ndarray:
+        """The Hermitian root V diag(roots) V^H, exactly Hermitian."""
+        V = self.eigenvectors
+        S = (V * self.roots()) @ V.conj().T
+        return 0.5 * (S + S.conj().T)
+
 
 def logdet_hpd(A) -> float:
     """ln det of a Hermitian positive-definite matrix, in nats.
@@ -96,19 +106,54 @@ def hermitian_eig(A) -> HermitianSpectrum:
     return HermitianSpectrum(eigenvalues=w[order], eigenvectors=V[:, order])
 
 
-def hermitian_sqrt(C) -> np.ndarray:
-    """Hermitian PSD square root S with S @ S == C.
+def psd_eig(C) -> HermitianSpectrum:
+    """Eigendecomposition of a Hermitian PSD matrix, as hermitian_eig.
 
-    Eigenvalues in [-PSD_RTOL * max|C|, 0) are treated as roundoff and
-    clamped to zero; anything more negative raises IndefiniteMatrix.
+    Eigenvalues in [-PSD_RTOL * max|C|, 0) are treated as roundoff
+    (``roots`` and ``sqrt`` clamp them to zero); anything more negative
+    raises IndefiniteMatrix.
     """
     C = _as_square(C)
     spec = hermitian_eig(C)
-    w, V = spec.eigenvalues, spec.eigenvectors
+    w = spec.eigenvalues
     tol = PSD_RTOL * (np.max(np.abs(C)) if C.size else 0.0)
     if np.any(w < -tol):
         raise IndefiniteMatrix(
             f"matrix has eigenvalue {w.min():.3e} below -{tol:.3e}, not PSD"
         )
-    S = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
-    return 0.5 * (S + S.conj().T)
+    return spec
+
+
+def hermitian_sqrt(C) -> np.ndarray:
+    """Hermitian PSD square root S with S @ S == C; see psd_eig."""
+    return psd_eig(C).sqrt()
+
+
+def gram_log_rates(G: np.ndarray, rhos) -> np.ndarray:
+    """Per-sample ln det(I + rho G) for a PSD batch G of shape (n, N, N).
+
+    Returns shape (n, len(rhos)): the whole rho grid comes from one set
+    of Gram eigenvalues per sample, negative ones clipped to zero. N = 1
+    reads the diagonal, N = 2 uses the closed form below and N >= 3
+    calls batched eigvalsh.
+
+    For N = 2, with a, d the diagonal and b the lower off-diagonal entry,
+    lambda_max = (a + d)/2 + hypot((a - d)/2, |b|) and lambda_min =
+    (a d - |b|^2) / lambda_max, evaluated as a (d/lambda_max) -
+    |b| (|b|/lambda_max). The quotient form is more accurate on rank-one
+    Grams than (a + d)/2 - hypot, and the split keeps a = d, b = 0 exact.
+    Non-finite entries give non-finite rates, without warnings.
+    """
+    rhos = np.asarray(rhos, dtype=float)
+    N = G.shape[1]
+    if N == 1:
+        g = np.clip(G[:, :, 0].real, 0.0, None)
+    elif N == 2:
+        a, d, b = G[:, 0, 0].real, G[:, 1, 1].real, np.abs(G[:, 1, 0])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            top = np.maximum(0.5 * (a + d) + np.hypot(0.5 * (a - d), b), 0.0)
+            low = np.where(top > 0.0, a * (d / top) - b * (b / top), 0.0)
+        g = np.stack([top, np.maximum(low, 0.0)], axis=1)
+    else:
+        g = np.clip(np.linalg.eigvalsh(G), 0.0, None)
+    return np.log1p(rhos[None, None, :] * g[:, :, None]).sum(axis=1)

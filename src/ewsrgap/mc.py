@@ -45,8 +45,15 @@ def chunk_stream(seed: int, index: int) -> np.random.Generator:
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """i.i.d. complex Gaussian entries, unit variance (1/2 per real part)."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
+    """i.i.d. complex Gaussian entries, unit variance (1/2 per real part).
+
+    One standard_normal(shape + (2,)) draw read as (real, imag) pairs,
+    scaled in place.
+    """
+    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+    z = rng.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
+    z *= np.sqrt(0.5)
+    return z
 
 
 def _chunk_sizes(n_samples: int):

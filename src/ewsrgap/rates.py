@@ -72,14 +72,6 @@ class SandwichBound:
         return self.lower <= value <= self.upper
 
 
-def _batch_rate(G: np.ndarray) -> np.ndarray:
-    """ln det(I + G) per sample for a PSD batch G of shape (n, N, N)."""
-    if G.shape[1] == 1:
-        return np.log1p(np.clip(G[:, 0, 0].real, 0.0, None))
-    eig = np.clip(np.linalg.eigvalsh(G), 0.0, None)
-    return np.log1p(eig).sum(axis=1)
-
-
 def _rate_terms(F: np.ndarray, own: slice):
     """Signal and interference terms of one user for a batch of F.
 
@@ -89,7 +81,8 @@ def _rate_terms(F: np.ndarray, own: slice):
     """
     S = F @ np.conj(np.swapaxes(F, 1, 2))
     Fo = F[:, :, own]
-    return _batch_rate(S), _batch_rate(S - Fo @ np.conj(np.swapaxes(Fo, 1, 2)))
+    intf = S - Fo @ np.conj(np.swapaxes(Fo, 1, 2))
+    return tuple(linalg.gram_log_rates(G, [1.0])[:, 0] for G in (S, intf))
 
 
 def _split(spec: GapSpec, own: slice):
@@ -254,7 +247,7 @@ def _gamma_limit(eff: GapSpec, method: str, n_samples: int, seed: int, workers: 
     N = eff.n_rx
 
     def closed_form():
-        eig = linalg.hermitian_eig(eff.cov).eigenvalues
+        eig = eff.spectrum.eigenvalues
         lam = eig[eig > 1e-9 * float(eig.max(initial=0.0))]
         if lam.size == 0:
             return None

@@ -270,6 +270,27 @@ class TestSandwich:
         assert err.startswith("error:") and "overflow" in err and err.count("\n") == 1
 
 
+    def test_taylor_fallback_overflow_fails_typed_without_warnings(self, tmp_path, capsys):
+        # a 2-antenna user with one stream has no closed form, so auto
+        # falls back to the second-order limit, whose tr(C^2) overflows
+        users = [UserConfig(serving_bs=0, rx_antennas=2, streams=1, rate_weight=1.0)]
+        sc = IbcScenario(
+            bs_antennas=[3],
+            users=users,
+            power_budgets=[1.0],
+            links=[[GapSpec(mean=np.zeros((2, 3)), cov=1e306 * np.eye(3))]],
+        )
+        path = tmp_path / "huge.json"
+        save_scenario(sc, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sandwich", "--scenario", str(path), "--uniform-precoders",
+                         "--samples", "100", "--out", str(tmp_path / "sw.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "overflow" in err and err.count("\n") == 1
+
+
 class TestVerify:
     def test_table_and_csv(self, tmp_path, capsys):
         out = tmp_path / "verify.csv"

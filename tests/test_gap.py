@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from ewsrgap import linalg
+from ewsrgap.channel import exp_profile_cov
 from ewsrgap.errors import DegenerateSpectrum, DomainError, check_integer
 from ewsrgap.gap import (
     MAX_CHUNK_ENTRIES,
@@ -16,10 +20,49 @@ from ewsrgap.gap import (
     taylor_gamma2,
     taylor_gamma2_inf_zero_mean,
 )
+from ewsrgap.oracle import brute_force_gap
 from ewsrgap.special import euler_gamma, harmonic
 
 
+def _mean(rng, N, M):
+    return rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M))
+
+
+def _correlated_spec():
+    """Nonzero mean, exponential-profile covariance, N = 2, M = 6."""
+    return GapSpec(mean=_mean(np.random.default_rng(30), 2, 6), cov=exp_profile_cov(6, 0.7))
+
+
+def _rank_deficient_spec():
+    """Nonzero mean, rank-2 PSD covariance on M = 6, N = 2."""
+    rng = np.random.default_rng(31)
+    B = _mean(rng, 6, 2)
+    return GapSpec(mean=0.5 * _mean(rng, 2, 6), cov=B @ B.conj().T)
+
+
+SAMPLER_SPECS = [_correlated_spec, _rank_deficient_spec]
+
+
 class TestGapSpec:
+    @pytest.mark.parametrize("make", SAMPLER_SPECS)
+    def test_cov_sqrt_is_hermitian_sqrt(self, make):
+        spec = make()
+        assert np.array_equal(spec.cov_sqrt, linalg.hermitian_sqrt(spec.cov))
+
+    def test_one_eigendecomposition_per_spec(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(A):
+            calls.append(A.shape)
+            return eigh(A)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        spec = _correlated_spec()
+        assert spec.cov_sqrt.shape == (6, 6)
+        monotonicity_sweep(spec, [1.0, 10.0], 100, 0)
+        assert calls == [(6, 6)]
+
     def test_expected_gram(self):
         rng = np.random.default_rng(0)
         mean = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
@@ -249,6 +292,15 @@ class TestTaylorGamma2:
             0.3125, rel=1e-14
         )
 
+    def test_overflow_is_a_typed_error_without_warnings(self):
+        huge = np.diag([1e306, 1e306])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow"):
+                taylor_gamma2_inf_zero_mean(huge, 2)
+            with pytest.raises(DomainError, match="overflow"):
+                taylor_gamma2(GapSpec(mean=np.zeros((2, 2)), cov=huge), 1e3)
+
     def test_zero_mean_limit_scale_invariant(self):
         C = np.diag([2.0, 1.0, 0.5])
         a = taylor_gamma2_inf_zero_mean(C, 2)
@@ -275,6 +327,29 @@ class TestTaylorGamma2:
         assert taylor_gamma2(spec, rho) == pytest.approx(
             est.value, abs=max(3 * est.std_error, 0.2 * est.value)
         )
+
+
+class TestEigenbasisSampler:
+    """The estimator samples H V, V the eigenbasis of cov; the oracle
+    samples mean + W cov_sqrt. Both must estimate the same gap."""
+
+    @pytest.mark.parametrize("make", SAMPLER_SPECS)
+    @pytest.mark.parametrize("rho", [1.0, 1e3, 1e6])
+    def test_agrees_with_brute_force(self, make, rho):
+        spec = make()
+        est = gamma_rho(spec, rho, 20_000, 40)
+        ref = brute_force_gap(spec, rho, 4000, 41)
+        assert abs(est.value - ref.value) <= 5.0 * np.hypot(est.std_error, ref.std_error)
+
+    @pytest.mark.parametrize("make", SAMPLER_SPECS)
+    def test_worker_count_bit_identical(self, make):
+        spec = make()
+        grid = [1.0, 1e3, 1e6]
+        a = monotonicity_sweep(spec, grid, 3 * 4096 + 5, 42, workers=1)
+        b = monotonicity_sweep(spec, grid, 3 * 4096 + 5, 42, workers=3)
+        for x, y in zip(a, b):
+            assert x.value == y.value and x.std_error == y.std_error
+        assert np.array_equal(a.diff_std_errors, b.diff_std_errors)
 
 
 class TestMonotonicitySweep:

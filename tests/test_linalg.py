@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from ewsrgap.errors import (
     NotHermitian,
     NotPositiveDefinite,
 )
-from ewsrgap.linalg import hermitian_eig, hermitian_sqrt, logdet_hpd
+from ewsrgap.linalg import gram_log_rates, hermitian_eig, hermitian_sqrt, logdet_hpd
 from ewsrgap.mc import complex_normal
 
 
@@ -132,3 +134,57 @@ class TestHermitianSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(IndefiniteMatrix):
             hermitian_sqrt(np.diag([1.0, -0.5]))
+
+
+def _gram_batch(rng, n, N, D):
+    H = complex_normal(rng, (n, N, D))
+    return H @ np.conj(np.swapaxes(H, 1, 2))
+
+
+def _eigvalsh_rates(G, rhos):
+    g = np.clip(np.linalg.eigvalsh(G), 0.0, None)
+    return np.log1p(np.asarray(rhos)[None, None, :] * g[:, :, None]).sum(axis=1)
+
+
+class TestGramLogRates:
+    RHOS = [1.0, 1e3, 1e6]
+
+    @pytest.mark.parametrize("D", [2, 3, 8])
+    def test_two_by_two_closed_form_matches_eigvalsh(self, D):
+        G = _gram_batch(_rng(10 + D), 4096, 2, D)
+        got = gram_log_rates(G, self.RHOS)
+        assert got.shape == (4096, 3)
+        assert got == pytest.approx(_eigvalsh_rates(G, self.RHOS), rel=1e-12)
+
+    def test_rank_one_closed_form_no_worse_than_eigvalsh(self):
+        # det(I + rho h h^H) = 1 + rho tr G exactly, so both eigenvalue
+        # routes can be scored against log1p(rho tr G)
+        G = _gram_batch(_rng(11), 4096, 2, 1)
+        rho = 1e6
+        exact = np.log1p(rho * (G[:, 0, 0].real + G[:, 1, 1].real))
+        closed = np.max(np.abs(gram_log_rates(G, [rho])[:, 0] - exact))
+        eig = np.max(np.abs(_eigvalsh_rates(G, [rho])[:, 0] - exact))
+        assert closed <= eig
+
+    def test_zero_gram_is_zero(self):
+        for N in (1, 2, 3):
+            assert np.array_equal(gram_log_rates(np.zeros((5, N, N), complex), self.RHOS),
+                                  np.zeros((5, 3)))
+
+    def test_two_by_two_scaled_identity_is_exact(self):
+        a = _rng(12).uniform(0.0, 10.0, 1000) * 10.0 ** _rng(13).integers(-50, 50, 1000)
+        G = np.zeros((a.size, 2, 2), complex)
+        G[:, 0, 0] = G[:, 1, 1] = a
+        rhos = np.array(self.RHOS)
+        assert np.array_equal(gram_log_rates(G, rhos), 2.0 * np.log1p(rhos * a[:, None]))
+
+    @pytest.mark.parametrize("N", [1, 3])
+    def test_other_sizes_are_the_eigvalsh_path(self, N):
+        G = _gram_batch(_rng(14 + N), 512, N, 4)
+        assert np.array_equal(gram_log_rates(G, self.RHOS), _eigvalsh_rates(G, self.RHOS))
+
+    def test_non_finite_gram_gives_non_finite_rates_without_warnings(self):
+        G = np.full((2, 2, 2), np.inf, complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not np.isfinite(gram_log_rates(G, [1.0])).any()

@@ -75,6 +75,14 @@ class TestComplexNormal:
     def test_shape(self):
         assert complex_normal(chunk_stream(9, 0), (3, 4)).shape == (3, 4)
 
+    @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 7)])
+    def test_draw_layout(self, shape):
+        # (real, imag) pairs from one standard_normal call: a change of
+        # the draws a seed produces must show up here
+        z = complex_normal(chunk_stream(9, 0), shape)
+        pairs = chunk_stream(9, 0).standard_normal(shape + (2,))
+        assert np.array_equal(z, (pairs[..., 0] + 1j * pairs[..., 1]) * np.sqrt(0.5))
+
 
 class TestMonteCarloEstimate:
     def test_rejects_negative_std_error(self):
