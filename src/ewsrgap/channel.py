@@ -235,22 +235,31 @@ def _finite(value, field_name) -> float:
 
 
 def _decode_matrix(obj, field_name):
+    """A non-empty list of equal rows of [re, im] pairs as a complex array.
+
+    Every value must be a finite JSON number: the type check over the
+    flattened values rejects bools (an int subclass) and anything that
+    is not a number; the float conversion and isfinite reject NaN, the
+    infinities and integers beyond the float range.
+    """
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ParseError("matrix must be a non-empty list of rows", field=field_name)
     width = len(obj[0])
-    rows = []
-    for row in obj:
-        if len(row) != width:
-            raise ParseError("matrix rows have unequal lengths", field=field_name)
-        vals = []
-        for entry in row:
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise ParseError(
-                    "matrix entries must be [re, im] pairs", field=field_name
-                )
-            vals.append(complex(_finite(entry[0], field_name), _finite(entry[1], field_name)))
-        rows.append(vals)
-    return np.array(rows, dtype=complex)
+    if any(len(row) != width for row in obj):
+        raise ParseError("matrix rows have unequal lengths", field=field_name)
+    entries = [entry for row in obj for entry in row]
+    if not all(isinstance(entry, list) and len(entry) == 2 for entry in entries):
+        raise ParseError("matrix entries must be [re, im] pairs", field=field_name)
+    values = [v for entry in entries for v in entry]
+    if not set(map(type, values)) <= {int, float}:
+        raise ParseError("expected a finite number", field=field_name)
+    try:
+        flat = np.array(values, dtype=float)
+    except OverflowError:  # an integer literal beyond the float range
+        flat = None
+    if flat is None or not np.isfinite(flat).all():
+        raise ParseError("expected a finite number", field=field_name)
+    return flat.view(complex).reshape(len(obj), width)
 
 
 def _encode_matrix(M) -> list:

@@ -10,12 +10,13 @@ Monte-Carlo estimator of Gamma(rho), the closed-form infinite-SNR
 limits for the zero-mean i.i.d. MISO/MIMO and correlated MISO cases,
 and the deterministic second-order approximation Gamma_2.
 
-The estimator samples in the eigenbasis of cov = V diag(lambda) V^H.
-Since sqrt(cov) = V diag(sqrt(lambda)) V^H, H V = mean V + (W V)
-diag(sqrt(lambda)), and W V has the law of W because V is unitary. So
-it draws mean V + W diag(sqrt(lambda)), O(N M) per sample instead of
-the O(N M^2) product with the M x M root, and the Gram of that draw has
-the law of H H^H = (H V)(H V)^H.
+Every Monte-Carlo draw of a GapSpec, here and in `rates`, comes from
+``GapSpec.draw``, which samples in the eigenbasis of
+cov = V diag(lambda) V^H. Since sqrt(cov) = V diag(sqrt(lambda)) V^H,
+H V = mean V + (W V) diag(sqrt(lambda)), and W V has the law of W
+because V is unitary. So it draws mean V + W diag(sqrt(lambda)),
+O(N M) per sample instead of the O(N M^2) product with the M x M root,
+and the Gram of that draw has the law of H H^H = (H V)(H V)^H.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class GapSpec:
     perturbation. It describes a scenario's links as well as the
     effective channels whose Gram-log-det gap is studied. ``spectrum``
     is the one eigendecomposition of cov; the square root and the
-    eigenbasis sampler of the gap estimator both come from it.
+    eigenbasis sampler ``draw`` both come from it.
     """
 
     mean: np.ndarray
@@ -84,13 +85,31 @@ class GapSpec:
         """The Hermitian root of cov, bit for bit linalg.hermitian_sqrt(cov)."""
         return self.spectrum.sqrt()
 
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """count draws of H V = mean V + W diag(sqrt(lambda)), shape (count, N, M).
+
+        V is ``spectrum.eigenvectors``; see the module docstring for why
+        the Gram X X^H of a draw X has the law of H H^H, and X V^H the
+        law of H. One complex_normal call of shape (count, N, M).
+        """
+        X = complex_normal(rng, (count,) + self.mean.shape)
+        X *= self.spectrum.roots()
+        if np.any(self.mean):
+            X += self.mean @ self.spectrum.eigenvectors
+        return X
+
     def is_zero_mean(self, rtol: float = 1e-12) -> bool:
         scale = np.sqrt(max(np.trace(self.cov).real, 0.0))
         return float(np.max(np.abs(self.mean))) <= rtol * max(scale, 1.0)
 
     def expected_gram(self) -> np.ndarray:
-        G = self.mean @ self.mean.conj().T
-        return G + np.trace(self.cov).real * np.eye(self.n_rx)
+        """E H H^H = mean mean^H + tr(cov) I; DomainError when it overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below
+            G = self.mean @ self.mean.conj().T
+            G = G + np.trace(self.cov).real * np.eye(self.n_rx)
+        if not np.isfinite(G).all():
+            raise DomainError("the expected Gram overflows the float range")
+        return G
 
 
 @dataclass
@@ -135,9 +154,13 @@ class EigenSpectrum:
 
 
 def _esei_term(spec: GapSpec, rho: float) -> float:
-    """ln|I + rho E H H^H| for the distribution described by ``spec``."""
-    N = spec.n_rx
-    return linalg.logdet_hpd(np.eye(N) + rho * spec.expected_gram())
+    """ln|I + rho E H H^H| for the distribution described by ``spec``;
+    DomainError when rho E H H^H overflows the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        X = np.eye(spec.n_rx) + rho * spec.expected_gram()
+    if not np.isfinite(X).all():
+        raise DomainError("the surrogate term overflows the float range")
+    return linalg.logdet_hpd(X)
 
 
 class SweepResult(list):
@@ -196,22 +219,14 @@ def monotonicity_sweep(
         ]
         return SweepResult(ests, np.zeros(max(rhos.size - 1, 0)))
 
-    # Draws of H V (see the module docstring), whose Gram is H H^H.
-    mean_v = spec.mean @ spec.spectrum.eigenvectors
-    shifted = bool(np.any(mean_v))
-    roots = spec.spectrum.roots()
     positive = rhos > 0.0
     rho_pos = rhos[positive]
 
     def evaluate(rng, count):
-        H = complex_normal(rng, (count,) + mean_v.shape)
-        H *= roots
-        if shifted:
-            H += mean_v
+        X = spec.draw(rng, count)
         vals = np.zeros((count, rhos.size))
         if rho_pos.size:
-            G = H @ np.conj(np.swapaxes(H, 1, 2))
-            vals[:, positive] = linalg.gram_log_rates(G, rho_pos)
+            vals[:, positive] = linalg.gram_log_rates(linalg.gram(X), rho_pos)
         return vals
 
     mc_mean, mc_se, diff_se = vector_stats(

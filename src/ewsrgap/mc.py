@@ -5,11 +5,14 @@ a Generator seeded by SeedSequence(seed, spawn_key=(i,)), and partial
 sums are reduced in chunk order, so the final numbers are bit-identical
 whether chunks run on one thread or many. The same seed always
 reproduces the same underlying draws, which is what enables common
-random numbers across SNR grids.
+random numbers across SNR grids. Chunks on more than one worker run
+on a thread pool that is started the first time a worker count is used
+and kept for the rest of the process.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -18,6 +21,9 @@ import numpy as np
 from .errors import DomainError
 
 CHUNK_SIZE = 4096
+
+_pools: dict[int, ThreadPoolExecutor] = {}
+_pools_lock = threading.Lock()
 
 
 @dataclass
@@ -56,6 +62,16 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return z
 
 
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process-wide pool of `workers` threads, started on first use."""
+    with _pools_lock:
+        if workers not in _pools:
+            _pools[workers] = ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix=f"ewsrgap-mc{workers}"
+            )
+        return _pools[workers]
+
+
 def _chunk_sizes(n_samples: int):
     n_full, rem = divmod(n_samples, CHUNK_SIZE)
     sizes = [CHUNK_SIZE] * n_full
@@ -72,7 +88,9 @@ def vector_stats(n_samples, seed, evaluate, workers=1, track_diffs=False):
     (P,), plus the standard error of successive component differences
     (shape (P-1,)) when track_diffs is set; paired per-sample diffs are
     what make CRN sweeps resolvable. Raises DomainError when a sum
-    overflows the float range.
+    overflows the float range. With workers > 1 the chunks run on the
+    shared pool of that size, so evaluate must not itself wait on
+    vector_stats with the same worker count.
     """
     if n_samples < 2:
         raise DomainError(f"need at least 2 samples, got {n_samples}")
@@ -89,8 +107,7 @@ def vector_stats(n_samples, seed, evaluate, workers=1, track_diffs=False):
         return s1, s2, None, None
 
     if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(partial, range(len(sizes))))
+        parts = list(_pool(workers).map(partial, range(len(sizes))))
     else:
         parts = [partial(i) for i in range(len(sizes))]
 

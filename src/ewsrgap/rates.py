@@ -5,6 +5,12 @@ outside the log-det) and its large-array surrogate (expectation moved
 inside). Their per-user difference is a Gamma gap from `gap`, bounded
 by its infinite-SNR limit, which yields computable lower/upper bounds
 on the true expected rate from the surrogate alone.
+
+The Monte-Carlo EWSR shares its sampler and its kernels with the gap
+estimator: each user's precoded channels are drawn with
+GapSpec.draw, in the eigenbasis of the stream covariance, their Grams
+formed by linalg.gram and their log-dets taken by
+linalg.gram_log_rates.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .gap import (
     min_relative_gap,
     taylor_gamma2_inf_zero_mean,
 )
-from .mc import MonteCarloEstimate, complex_normal, vector_stats
+from .mc import MonteCarloEstimate, vector_stats
 
 # Numerical stand-in for infinite SNR in Monte-Carlo gap estimation;
 # the remaining O(1/rho) bias sits far below statistical error.
@@ -72,16 +78,19 @@ class SandwichBound:
         return self.lower <= value <= self.upper
 
 
-def _rate_terms(F: np.ndarray, own: slice):
-    """Signal and interference terms of one user for a batch of F.
+def _rate_terms(X: np.ndarray, own_basis: np.ndarray | None):
+    """Signal and interference terms of one user for a batch of draws.
 
-    F (n, N, D) holds precoded channels [H_kj G_j]_j, own the user's
-    own columns. The signal Gram is F F^H; the interference Gram drops
-    the own streams, F F^H - F_own F_own^H. Returns ln|I + .| of both.
+    X (n, N, D) holds draws F V of the precoded channels F = [H_kj G_j]_j
+    in the eigenbasis V of their stream covariance (GapSpec.draw), and
+    own_basis = V^H[:, own] maps them back to the user's own columns.
+    The signal Gram is X X^H = F F^H; the interference Gram drops the
+    own streams, X X^H - F_own F_own^H with F_own = X V^H[:, own]. A
+    user whose own streams are all the columns has own_basis None and
+    an interference Gram of exactly zero. Returns ln|I + .| of both.
     """
-    S = F @ np.conj(np.swapaxes(F, 1, 2))
-    Fo = F[:, :, own]
-    intf = S - Fo @ np.conj(np.swapaxes(Fo, 1, 2))
+    S = linalg.gram(X)
+    intf = np.zeros_like(S) if own_basis is None else S - linalg.gram(X @ own_basis)
     return tuple(linalg.gram_log_rates(G, [1.0])[:, 0] for G in (S, intf))
 
 
@@ -133,17 +142,22 @@ def _term_evaluator(specs, weights):
 
     Column 0 is the weighted sum rate; columns 1..K are the signal
     terms, columns K+1..2K the interference terms. Each user draws its
-    precoded channels from its stream spec, users in order, so any
-    consumer of the same seed sees the same channels.
+    precoded channels from its stream spec with GapSpec.draw, users in
+    order, so any consumer of the same seed sees the same channels.
     """
     K = len(specs)
+    own_bases = [
+        None
+        if own == slice(0, spec.mean.shape[1])
+        else spec.spectrum.eigenvectors.conj().T[:, own]
+        for spec, own in specs
+    ]
 
     def evaluate(rng, count):
         out = np.zeros((count, 1 + 2 * K))
-        for k, ((spec, own), weight) in enumerate(zip(specs, weights)):
-            W = complex_normal(rng, (count,) + spec.mean.shape)
+        for k, ((spec, _), own_basis, weight) in enumerate(zip(specs, own_bases, weights)):
             with np.errstate(over="ignore", invalid="ignore"):  # raised after the sums
-                sig, intf = _rate_terms(spec.mean + W @ spec.cov_sqrt, own)
+                sig, intf = _rate_terms(spec.draw(rng, count), own_basis)
                 out[:, 1 + k] = sig
                 out[:, 1 + K + k] = intf
                 out[:, 0] += weight * (sig - intf)

@@ -390,6 +390,35 @@ class TestScenarioJson:
         assert "cov_t" in exc.value.field
 
     @pytest.mark.parametrize(
+        "key, path, value, message",
+        [
+            ("cov_t", (0, 1, 0), True, "expected a finite number"),
+            ("cov_t", (1, 1, 1), 10**400, "expected a finite number"),
+            ("cov_t", (0, 0, 1), "0.0", "expected a finite number"),
+            ("cov_t", (1,), [[1.0, 0.0]], "matrix rows have unequal lengths"),
+            ("cov_t", (0, 0), [1.0, 0.0, 0.0], "matrix entries must be [re, im] pairs"),
+            ("cov_t", (1, 0, 0), float("nan"), "expected a finite number"),
+            ("mean", (0, 1, 0), True, "expected a finite number"),
+        ],
+    )
+    def test_malformed_matrix_reports_field_and_message(self, tmp_path, key, path,
+                                                        value, message):
+        doc = json.loads(json.dumps(MINIMAL_DOC))
+        link = doc["links"][0][0]
+        link["mean"] = [[[0.5, 0.0], [0.0, 0.5]]]
+        target = link[key]
+        for i in path[:-1]:
+            target = target[i]
+        target[path[-1]] = value
+        p = tmp_path / "badmat.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as exc:
+            load_bundle(p)
+        field = f"links[0][0].{key}"
+        assert exc.value.field == field
+        assert str(exc.value) == f"{message} (field {field!r})"
+
+    @pytest.mark.parametrize(
         "path, value, field",
         [
             (("cells", 0, "antennas"), True, "cells[0].antennas"),

@@ -290,6 +290,33 @@ class TestSandwich:
         assert code == 2
         assert err.startswith("error:") and "overflow" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("mean, cov, method", [
+        # rho = 1e6 times the covariance overflows the surrogate term of
+        # the Monte-Carlo gap limit before any sample is drawn
+        (0.0, 1e306, "monte-carlo-high-snr"),
+        # mean mean^H overflows the expected Gram of the ESEI
+        (1e200, 1.0, "auto"),
+    ])
+    def test_huge_link_fails_typed_without_warnings(self, tmp_path, capsys, mean, cov,
+                                                    method):
+        users = [UserConfig(serving_bs=0, rx_antennas=2, streams=1, rate_weight=1.0)]
+        sc = IbcScenario(
+            bs_antennas=[3],
+            users=users,
+            power_budgets=[1.0],
+            links=[[GapSpec(mean=np.full((2, 3), mean), cov=cov * np.eye(3))]],
+        )
+        path = tmp_path / "huge.json"
+        save_scenario(sc, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sandwich", "--scenario", str(path), "--uniform-precoders",
+                         "--method", method, "--samples", "100",
+                         "--out", str(tmp_path / "sw.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "overflow" in err and err.count("\n") == 1
+
 
 class TestVerify:
     def test_table_and_csv(self, tmp_path, capsys):

@@ -20,6 +20,7 @@ from ewsrgap.gap import (
     taylor_gamma2,
     taylor_gamma2_inf_zero_mean,
 )
+from ewsrgap.mc import chunk_stream, complex_normal
 from ewsrgap.oracle import brute_force_gap
 from ewsrgap.special import euler_gamma, harmonic
 
@@ -342,6 +343,34 @@ class TestEigenbasisSampler:
         assert abs(est.value - ref.value) <= 5.0 * np.hypot(est.std_error, ref.std_error)
 
     @pytest.mark.parametrize("make", SAMPLER_SPECS)
+    def test_draw_layout(self, make):
+        # one complex_normal call of the mean's shape per sample, scaled
+        # by the roots of the eigenvalues and shifted by mean V
+        spec = make()
+        X = spec.draw(chunk_stream(3, 0), 7)
+        W = complex_normal(chunk_stream(3, 0), (7,) + spec.mean.shape)
+        mean_v = spec.mean @ spec.spectrum.eigenvectors
+        assert np.array_equal(X, W * spec.spectrum.roots() + mean_v)
+
+    def test_zero_mean_draw_is_unshifted(self):
+        spec = GapSpec(mean=np.zeros((2, 3)), cov=exp_profile_cov(3, 0.4))
+        W = complex_normal(chunk_stream(5, 0), (9, 2, 3))
+        assert np.array_equal(spec.draw(chunk_stream(5, 0), 9), W * spec.spectrum.roots())
+
+    @pytest.mark.parametrize("make", SAMPLER_SPECS)
+    def test_draws_have_the_law_of_h_v(self, make):
+        # E X = mean V and E X^H X / N = diag(lambda) + V^H mean^H mean V / N
+        spec = make()
+        n = 40_000
+        X = spec.draw(chunk_stream(6, 0), n)
+        V, lam = spec.spectrum.eigenvectors, spec.spectrum.eigenvalues
+        mean_v = spec.mean @ V
+        assert np.abs(X.mean(axis=0) - mean_v).max() <= 5 * np.sqrt(lam.max() / n)
+        second = np.einsum("nij,nik->jk", X.conj(), X) / (n * spec.n_rx)
+        want = np.diag(lam) + mean_v.conj().T @ mean_v / spec.n_rx
+        assert np.abs(second - want).max() <= 0.05 * (lam.max() + np.abs(want).max())
+
+    @pytest.mark.parametrize("make", SAMPLER_SPECS)
     def test_worker_count_bit_identical(self, make):
         spec = make()
         grid = [1.0, 1e3, 1e6]
@@ -350,6 +379,18 @@ class TestEigenbasisSampler:
         for x, y in zip(a, b):
             assert x.value == y.value and x.std_error == y.std_error
         assert np.array_equal(a.diff_std_errors, b.diff_std_errors)
+
+    @pytest.mark.parametrize("N, cov, rho", [
+        (2, 1e306, 1e6),  # the surrogate term overflows
+        (2, 5e307, 1.0),  # only sampled Grams overflow
+        (4, 5e307, 1.0),  # the same on the eigvalsh path
+    ])
+    def test_gamma_rho_overflow_is_a_typed_error_without_warnings(self, N, cov, rho):
+        spec = GapSpec(mean=np.zeros((N, 4)), cov=cov / N * np.eye(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow"):
+                gamma_rho(spec, rho, 5000, 0, workers=2)
 
 
 class TestMonotonicitySweep:

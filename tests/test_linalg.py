@@ -5,11 +5,12 @@ import pytest
 
 from ewsrgap.errors import (
     DimensionMismatch,
+    DomainError,
     IndefiniteMatrix,
     NotHermitian,
     NotPositiveDefinite,
 )
-from ewsrgap.linalg import gram_log_rates, hermitian_eig, hermitian_sqrt, logdet_hpd
+from ewsrgap.linalg import gram, gram_log_rates, hermitian_eig, hermitian_sqrt, logdet_hpd
 from ewsrgap.mc import complex_normal
 
 
@@ -188,3 +189,64 @@ class TestGramLogRates:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not np.isfinite(gram_log_rates(G, [1.0])).any()
+
+    @pytest.mark.parametrize("N", [1, 3])
+    def test_non_finite_samples_get_infinite_rates(self, N):
+        G = _gram_batch(_rng(20 + N), 64, N, 4)
+        G[::7] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gram_log_rates(G, self.RHOS)
+        finite = np.ones(64, bool)
+        finite[::7] = False
+        assert np.isposinf(got[~finite]).all()
+        assert np.array_equal(got[finite], gram_log_rates(G[finite], self.RHOS))
+
+    def test_overflowing_rho_gram_without_warnings(self):
+        G = np.full((3, 2, 2), 1e306, complex)
+        G[:, 1, 0] = G[:, 0, 1] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isposinf(gram_log_rates(G, [1e6])).all()
+
+
+class TestGram:
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("D", [1, 4, 12])
+    def test_small_grams_match_matmul(self, N, D):
+        X = complex_normal(_rng(30 + 4 * N + D), (2048, N, D))
+        want = X @ np.conj(np.swapaxes(X, 1, 2))
+        got = gram(X)
+        assert got.shape == (2048, N, N)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert np.array_equal(got[:, 0, -1], np.conj(got[:, -1, 0]))
+        assert np.array_equal(np.diagonal(got, axis1=1, axis2=2).imag, np.zeros((2048, N)))
+
+    @pytest.mark.parametrize("D", [1, 5])
+    def test_larger_grams_are_matmul(self, D):
+        X = complex_normal(_rng(40 + D), (512, 3, D))
+        assert np.array_equal(gram(X), X @ np.conj(np.swapaxes(X, 1, 2)))
+
+    def test_strided_batch(self):
+        # a view whose rows are not contiguous, as X[:, :, cols] would be
+        X = complex_normal(_rng(45), (256, 2, 9))[:, :, ::2]
+        assert gram(X) == pytest.approx(X @ np.conj(np.swapaxes(X, 1, 2)), rel=1e-12)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_overflow_gives_non_finite_grams_without_warnings(self, N):
+        X = np.full((4, N, 3), 1e200 + 1e200j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not np.isfinite(gram(X)).all(axis=(1, 2)).any()
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("fn", [logdet_hpd, hermitian_eig, hermitian_sqrt])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejected_without_warnings(self, fn, bad):
+        A = np.eye(3, dtype=complex)
+        A[1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-finite"):
+                fn(A)

@@ -1,3 +1,4 @@
+import threading
 import warnings
 
 import numpy as np
@@ -31,6 +32,24 @@ class TestVectorStats:
             other = vector_stats(n, 123, _sum_stat, workers=workers, track_diffs=True)
             for a, b in zip(base, other):
                 assert np.array_equal(a, b)
+
+    def test_repeated_calls_reuse_one_pool(self):
+        # the first call at two workers may start the pool's threads;
+        # later calls at that worker count run on the same two threads
+        seen = set()
+
+        def stat(rng, count):
+            seen.add(threading.current_thread())
+            return _sum_stat(rng, count)
+
+        first = vector_stats(3 * CHUNK_SIZE, 4, stat, workers=2, track_diffs=True)
+        threads = threading.active_count()
+        for _ in range(5):
+            again = vector_stats(3 * CHUNK_SIZE, 4, stat, workers=2, track_diffs=True)
+            assert threading.active_count() == threads
+            for a, b in zip(first, again):
+                assert np.array_equal(a, b)
+        assert len(seen) <= 2
 
     def test_seed_changes_results(self):
         m1, _, _ = vector_stats(5000, 1, _sum_stat)

@@ -5,6 +5,7 @@ from ewsrgap.channel import (
     IbcScenario,
     PrecoderSet,
     UserConfig,
+    exp_profile_cov,
     load_demo_bundle,
     sample_channel,
     uniform_power_precoders,
@@ -93,6 +94,16 @@ def _two_user_mimo_random(seed=0):
     return sc, uniform_power_precoders(sc)
 
 
+def _spend_budgets(sc, mats):
+    """Scale the beams of each cell's users to spend its budget exactly."""
+    for j, budget in enumerate(sc.power_budgets):
+        served = [k for k, u in enumerate(sc.users) if u.serving_bs == j]
+        spent = sum(np.sum(np.abs(mats[k]) ** 2) for k in served)
+        for k in served:
+            mats[k] *= np.sqrt(budget / spent)
+    return PrecoderSet(mats)
+
+
 def _two_cell_rician(seed=0):
     """Two cells (M = 4, 3), three users with N = 2 receive antennas, one
     of them on 2 streams, nonzero means, correlated covariances and
@@ -116,13 +127,46 @@ def _two_cell_rician(seed=0):
             row.append(GapSpec(mean=0.6 * gain * cn(2, M), cov=gain * C / M))
         links.append(row)
     sc = IbcScenario(bs_antennas=[4, 3], users=users, power_budgets=[6.0, 4.0], links=links)
-    mats = [cn(sc.bs_antennas[u.serving_bs], u.streams) for u in users]
-    for j, budget in enumerate(sc.power_budgets):
-        served = [k for k, u in enumerate(users) if u.serving_bs == j]
-        spent = sum(np.sum(np.abs(mats[k]) ** 2) for k in served)
-        for k in served:
-            mats[k] *= np.sqrt(budget / spent)
-    return sc, PrecoderSet(mats)
+    return sc, _spend_budgets(sc, [cn(sc.bs_antennas[u.serving_bs], u.streams) for u in users])
+
+
+def _one_cell_two_users_rician(seed=5):
+    """One 4-antenna cell serving two 2-antenna users on 2 and 1
+    streams, exponential-profile covariances and nonzero means."""
+    rng = np.random.default_rng(seed)
+    users = [
+        UserConfig(serving_bs=0, rx_antennas=2, streams=2, rate_weight=1.0),
+        UserConfig(serving_bs=0, rx_antennas=2, streams=1, rate_weight=0.8),
+    ]
+    links = [
+        [GapSpec(mean=0.7 * complex_normal(rng, (2, 4)), cov=exp_profile_cov(4, r))]
+        for r in (0.6, 0.3)
+    ]
+    sc = IbcScenario(bs_antennas=[4], users=users, power_budgets=[5.0], links=links)
+    return sc, _spend_budgets(sc, [complex_normal(rng, (4, u.streams)) for u in users])
+
+
+def _rank_deficient_streams(seed=6):
+    """Two cells whose links from cell 0 have rank-one covariances and
+    from cell 1 none, so every user's 4-wide stream covariance has rank
+    one; all means are nonzero."""
+    rng = np.random.default_rng(seed)
+    users = [
+        UserConfig(serving_bs=0, rx_antennas=2, streams=2, rate_weight=1.0),
+        UserConfig(serving_bs=0, rx_antennas=1, streams=1, rate_weight=0.5),
+        UserConfig(serving_bs=1, rx_antennas=2, streams=1, rate_weight=1.3),
+    ]
+    links = []
+    for u in users:
+        v = complex_normal(rng, (4, 1))
+        links.append([
+            GapSpec(mean=0.5 * complex_normal(rng, (u.rx_antennas, 4)), cov=v @ v.conj().T),
+            GapSpec(mean=complex_normal(rng, (u.rx_antennas, 3)), cov=np.zeros((3, 3))),
+        ])
+    sc = IbcScenario(bs_antennas=[4, 3], users=users, power_budgets=[4.0, 2.0], links=links)
+    return sc, _spend_budgets(
+        sc, [complex_normal(rng, (sc.bs_antennas[u.serving_bs], u.streams)) for u in users]
+    )
 
 
 def _means(sc):
@@ -259,6 +303,37 @@ class TestEwsrMonteCarlo:
         b = user_term_estimates(idle, ps, 5000, 2)
         assert a == b
 
+    @pytest.mark.parametrize("make, rank", [
+        (_one_cell_two_users_rician, 3),
+        (_rank_deficient_streams, 1),
+    ])
+    def test_terms_match_per_link_brute_force(self, make, rank):
+        # every link drawn separately as mean + W cov_sqrt, on its own
+        # stream; the estimator draws the stream spec in its eigenbasis
+        sc, ps = make()
+        for sig_spec, _ in _term_specs(sc, ps):
+            assert np.linalg.matrix_rank(sig_spec.cov, hermitian=True) == rank
+        n = 20_000
+        rng = np.random.default_rng(78)
+        H = [
+            [link.mean + complex_normal(rng, (n,) + link.mean.shape) @ link.cov_sqrt
+             for link in row]
+            for row in sc.links
+        ]
+        terms = _per_link_terms(
+            sc, ps, lambda k, j, Q: H[k][j] @ Q @ np.conj(np.swapaxes(H[k][j], 1, 2))
+        )
+        total = sum(u.rate_weight * (s - i) for u, (s, i) in zip(sc.users, terms))
+
+        def close(est, samples):
+            se = samples.std(ddof=1) / np.sqrt(n)
+            return abs(est.value - samples.mean()) <= 5 * np.hypot(est.std_error, se)
+
+        wsr, sig, intf = user_term_estimates(sc, ps, n, 4)
+        assert close(wsr, total)
+        for k, (s, i) in enumerate(terms):
+            assert close(sig[k], s) and close(intf[k], i)
+
     def test_matches_per_link_brute_force(self):
         # an estimator that draws every link separately, with its own stream
         sc, ps = _two_cell_rician()
@@ -338,6 +413,15 @@ class TestEseiWsr:
         assert intf.mean.shape == (2, 0) and intf.cov.shape == (0, 0)
         assert esei_terms(sc, ps)[0][1] == 0.0
         assert user_term_estimates(sc, ps, 1000, 1)[2][0].value == 0.0
+
+    def test_lone_user_interference_is_exactly_zero_in_any_eigenbasis(self):
+        # a correlated covariance gives a stream eigenbasis that is not a
+        # permutation; the sampled interference term must still be 0
+        sc, ps = _single_user_mimo(n=3)
+        sc.links[0][0] = GapSpec(mean=sc.links[0][0].mean, cov=exp_profile_cov(3, 0.7))
+        _, sig, (intf,) = user_term_estimates(sc, ps, 5000, 2)
+        assert intf.value == 0.0 and intf.std_error == 0.0
+        assert sig[0].value > 0.0
 
     def test_jensen_per_term(self):
         sc, ps = _two_user_mimo_random(seed=2)
