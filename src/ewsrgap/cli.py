@@ -49,7 +49,7 @@ from .gap import (
     taylor_gamma2,
 )
 from .oracle import exact_e_log_miso_iid
-from .rates import ewsr_monte_carlo, sandwich_bounds
+from .rates import GAP_METHODS, ewsr_monte_carlo, sandwich_bounds
 from .verify import run_suite
 
 _LN2 = float(np.log(2.0))
@@ -385,8 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--uniform-precoders", action="store_true",
                     help="replace any stored precoders with scaled-identity ones")
     sw.add_argument("--method", default="auto",
-                    choices=["auto", "closed-form", "taylor", "monte-carlo-high-snr"],
-                    help="gap-limit method (default auto)")
+                    choices=["auto", *GAP_METHODS],
+                    help="gap-limit method (default auto: the first of "
+                    f"{', '.join(GAP_METHODS)} that applies)")
     sw.set_defaults(func=cmd_sandwich)
 
     vf = sub.add_parser("verify", help="run property suites")

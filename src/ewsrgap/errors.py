@@ -3,10 +3,12 @@
 Every error raised on purpose by this package is one of the classes
 below. All of them derive from EwsrgapError, so callers can catch the
 whole package at once, by family (ValueError / IndexError /
-RuntimeError) or by exact type. check_integer is the one validator of
-integer arguments outside the scenario loader and the CLI.
+RuntimeError) or by exact type. check_integer and check_nonnegative
+are the one validators of integer and real arguments outside the
+scenario loader and the CLI.
 """
 
+import math
 import numbers
 
 
@@ -70,11 +72,26 @@ class IndexOutOfRange(EwsrgapError, IndexError):
     """A user or cell index is outside the scenario's range."""
 
 
-def check_integer(value, name: str) -> int:
-    """value as an int when it is an integer >= 1, else DomainError.
+def check_integer(value, name: str, low: int = 1) -> int:
+    """value as an int when it is an integer >= low, else DomainError.
 
     numpy integers count as integers; bools, an int subclass, do not.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def check_nonnegative(value, name: str) -> float:
+    """value as a float when it is a finite real number >= 0, else DomainError.
+
+    numpy reals count as reals; bools and NaN do not.
+    """
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not 0.0 <= x < math.inf:  # also false for NaN
+        raise DomainError(f"{name} must be a finite real number >= 0, got {value!r}")
+    return x

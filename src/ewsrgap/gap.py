@@ -27,8 +27,9 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateSpectrum, DimensionMismatch, DomainError, check_integer
-from .mc import CHUNK_SIZE, MonteCarloEstimate, complex_normal, vector_stats
+from .errors import DegenerateSpectrum, DimensionMismatch, DomainError
+from .errors import check_integer, check_nonnegative
+from .mc import CHUNK_SIZE, MonteCarloEstimate, check_run, complex_normal, vector_stats
 from .special import euler_gamma, harmonic
 
 # Most entries a spec's covariance or one Monte-Carlo chunk may hold:
@@ -98,9 +99,17 @@ class GapSpec:
             X += self.mean @ self.spectrum.eigenvectors
         return X
 
-    def is_zero_mean(self, rtol: float = 1e-12) -> bool:
+    @property
+    def nonzero_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of cov above 1e-9 times the largest, descending:
+        the spectrum on the directions the perturbation reaches."""
+        eig = self.spectrum.eigenvalues
+        return eig[eig > 1e-9 * float(eig.max(initial=0.0))]
+
+    def is_zero_mean(self) -> bool:
+        """No mean entry above 1e-12 max(1, sqrt(tr cov)) in magnitude."""
         scale = np.sqrt(max(np.trace(self.cov).real, 0.0))
-        return float(np.max(np.abs(self.mean))) <= rtol * max(scale, 1.0)
+        return float(np.max(np.abs(self.mean))) <= 1e-12 * max(scale, 1.0)
 
     def expected_gram(self) -> np.ndarray:
         """E H H^H = mean mean^H + tr(cov) I; DomainError when it overflows."""
@@ -114,15 +123,9 @@ class GapSpec:
 
 @dataclass
 class EigenSpectrum:
-    """Strictly positive, pairwise distinct eigenvalues, sorted descending.
-
-    paper_scaled marks spectra normalized so the eigenvalues sum to the
-    (integer) transmit dimension; the closed forms below are scale
-    invariant, so the flag is informational and only validated.
-    """
+    """Strictly positive, pairwise distinct eigenvalues, sorted descending."""
 
     lambdas: np.ndarray
-    paper_scaled: bool = False
 
     def __post_init__(self):
         lam = np.sort(np.asarray(self.lambdas, dtype=float))[::-1]
@@ -132,21 +135,7 @@ class EigenSpectrum:
             raise DomainError("eigenvalues must be strictly positive")
         if np.any(np.diff(lam) == 0.0):
             raise DegenerateSpectrum("eigenvalues must be pairwise distinct")
-        if self.paper_scaled:
-            total = float(lam.sum())
-            if abs(total - round(total)) > 1e-9 or round(total) < 1:
-                raise DomainError(
-                    f"paper-scaled spectrum must sum to a positive integer, got {total!r}"
-                )
         self.lambdas = lam
-
-    @classmethod
-    def from_matrix(cls, C, rel_tol: float = 1e-9, paper_scaled: bool = False):
-        """Nonzero eigenvalues of a Hermitian PSD matrix."""
-        spec = linalg.hermitian_eig(C)
-        lam = spec.eigenvalues
-        cut = rel_tol * max(float(lam.max(initial=0.0)), 0.0)
-        return cls(lambdas=lam[lam > cut], paper_scaled=paper_scaled)
 
     @property
     def p(self) -> int:
@@ -186,7 +175,7 @@ def gamma_rho(
     sampled. Draws depend on (seed, sample index) alone, so estimates
     at different rho from the same seed share their random numbers.
     """
-    sweep = monotonicity_sweep(spec, [float(rho)], n_samples, seed, workers=workers)
+    sweep = monotonicity_sweep(spec, [rho], n_samples, seed, workers=workers)
     return sweep[0]
 
 
@@ -202,11 +191,10 @@ def monotonicity_sweep(
     Returns a SweepResult whose diff_std_errors let successive grid
     differences be tested at their paired precision.
     """
-    rhos = np.asarray(rho_grid, dtype=float)
-    if rhos.ndim != 1 or rhos.size == 0:
+    if np.ndim(rho_grid) != 1 or np.size(rho_grid) == 0:
         raise DomainError("rho grid must be a non-empty 1-d sequence")
-    if np.any(rhos < 0.0):
-        raise DomainError("rho must be nonnegative")
+    rhos = np.array([check_nonnegative(r, "rho") for r in rho_grid])
+    n_samples, seed, workers = check_run(n_samples, seed, workers)
     if np.any(np.diff(rhos) < 0.0):
         raise DomainError("rho grid must be ascending")
 
@@ -322,9 +310,7 @@ def taylor_gamma2(spec: GapSpec, rho: float) -> float:
     identities. It vanishes for a deterministic channel (C = 0) and is
     nonnegative for every spec, consistent with Jensen.
     """
-    rho = float(rho)
-    if rho < 0.0:
-        raise DomainError(f"rho must be nonnegative, got {rho}")
+    rho = check_nonnegative(rho, "rho")
     if rho == 0.0:
         return 0.0
     N = spec.n_rx

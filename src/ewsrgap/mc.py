@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 
 CHUNK_SIZE = 4096
 
@@ -62,6 +62,16 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return z
 
 
+def check_run(n_samples, seed, workers=1):
+    """(n_samples, seed, workers) as ints: at least 2 samples, a seed
+    >= 0 and at least one worker, else DomainError."""
+    return (
+        check_integer(n_samples, "n_samples", 2),
+        check_integer(seed, "seed", 0),
+        check_integer(workers, "workers"),
+    )
+
+
 def _pool(workers: int) -> ThreadPoolExecutor:
     """The process-wide pool of `workers` threads, started on first use."""
     with _pools_lock:
@@ -87,13 +97,13 @@ def vector_stats(n_samples, seed, evaluate, workers=1, track_diffs=False):
     whose generator it is handed. Returns (mean, std_error) of shape
     (P,), plus the standard error of successive component differences
     (shape (P-1,)) when track_diffs is set; paired per-sample diffs are
-    what make CRN sweeps resolvable. Raises DomainError when a sum
-    overflows the float range. With workers > 1 the chunks run on the
-    shared pool of that size, so evaluate must not itself wait on
-    vector_stats with the same worker count.
+    what make CRN sweeps resolvable. Raises DomainError when check_run
+    rejects the arguments or a sum overflows the float range. With
+    workers > 1 the chunks run on the shared pool of that size, so
+    evaluate must not itself wait on vector_stats with the same worker
+    count.
     """
-    if n_samples < 2:
-        raise DomainError(f"need at least 2 samples, got {n_samples}")
+    n_samples, seed, workers = check_run(n_samples, seed, workers)
     sizes = _chunk_sizes(n_samples)
 
     def partial(i):

@@ -13,9 +13,9 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, DomainError, check_integer
+from .errors import DegenerateSpectrum, DomainError, check_integer, check_nonnegative
 from .gap import EigenSpectrum, GapSpec, partial_fraction_weights
-from .mc import MonteCarloEstimate, complex_normal
+from .mc import MonteCarloEstimate, check_run, complex_normal
 from .special import expn_scaled, gauss_laguerre
 
 
@@ -34,9 +34,7 @@ def exact_e_log_miso_iid(M: int, rho: float) -> float:
     trustworthy.
     """
     M = check_integer(M, "M")
-    rho = float(rho)
-    if rho < 0.0:
-        raise DomainError(f"rho must be nonnegative, got {rho}")
+    rho = check_nonnegative(rho, "rho")
     if rho == 0.0:
         return 0.0
     s = 1.0 / rho
@@ -52,9 +50,7 @@ def exact_e_log_miso_corr(spectrum: EigenSpectrum, rho: float) -> float:
     E_1(1/(rho lambda)) per component. The partial-fraction weights are
     validated to sum to 1 before use.
     """
-    rho = float(rho)
-    if rho < 0.0:
-        raise DomainError(f"rho must be nonnegative, got {rho}")
+    rho = check_nonnegative(rho, "rho")
     if rho == 0.0:
         return 0.0
     lam = spectrum.lambdas
@@ -80,9 +76,7 @@ def e_log_quadrature(M: int, rho: float, n_nodes: int = 128) -> float:
     exists as an independent cross-check.
     """
     M = check_integer(M, "M")
-    rho = float(rho)
-    if rho < 0.0:
-        raise DomainError(f"rho must be nonnegative, got {rho}")
+    rho = check_nonnegative(rho, "rho")
     if rho == 0.0:
         return 0.0
     rule = gauss_laguerre(n_nodes)
@@ -129,11 +123,8 @@ def brute_force_gap(
     common random numbers, no shared code with gamma_rho. Exists solely
     to cross-validate the optimized estimator.
     """
-    rho = float(rho)
-    if rho < 0.0:
-        raise DomainError(f"rho must be nonnegative, got {rho}")
-    if n_samples < 2:
-        raise DomainError(f"need at least 2 samples, got {n_samples}")
+    rho = check_nonnegative(rho, "rho")
+    n_samples, seed, _ = check_run(n_samples, seed)
     if rho == 0.0:
         return MonteCarloEstimate(0.0, 0.0, n_samples, seed, rho=0.0)
     N = spec.n_rx

@@ -27,23 +27,25 @@ from .channel import (
     check_precoders,
     stream_spec,
 )
-from .errors import DimensionMismatch, DomainError, UnsupportedCase
+from .errors import DegenerateSpectrum, DimensionMismatch, DomainError, UnsupportedCase
 from .gap import (
     EigenSpectrum,
     GapSpec,
+    _esei_term,
     gamma_inf_mimo_iid,
     gamma_inf_miso_corr,
     gamma_rho,
-    min_relative_gap,
     taylor_gamma2_inf_zero_mean,
 )
-from .mc import MonteCarloEstimate, vector_stats
+from .mc import MonteCarloEstimate, check_run, vector_stats
 
 # Numerical stand-in for infinite SNR in Monte-Carlo gap estimation;
 # the remaining O(1/rho) bias sits far below statistical error.
 RHO_HIGH_SNR = 1.0e6
 
-_METHOD_RANK = {"closed-form": 0, "taylor": 1, "monte-carlo-high-snr": 2}
+# The explicit gap-limit methods, from most to least exact. "auto"
+# takes the first that applies.
+GAP_METHODS = ("closed-form", "taylor", "monte-carlo-high-snr")
 
 
 @dataclass
@@ -101,13 +103,6 @@ def _split(spec: GapSpec, own: slice):
     return spec, GapSpec(spec.mean[:, keep], spec.cov[np.ix_(keep, keep)])
 
 
-def _log_terms(specs):
-    """ln|I + E F F^H| for each spec. With zero covariance, these are the
-    rate terms of the realization F = mean, so a deterministic channel's
-    rate equals its surrogate to the last bit."""
-    return tuple(linalg.logdet_hpd(np.eye(s.n_rx) + s.expected_gram()) for s in specs)
-
-
 def _term_specs(scenario, precoders):
     """Per user, the (signal, interference) specs of the ESEI and the sandwich."""
     return [_split(*stream_spec(scenario, precoders, k)) for k in range(scenario.n_users)]
@@ -132,7 +127,10 @@ def wsr_realization(scenario: IbcScenario, precoders: PrecoderSet, channels) -> 
                 raise DimensionMismatch(f"channel ({k},{j}) has shape {H.shape}, expected {expect}")
             blocks.append(H @ G)
         F = np.concatenate(blocks, axis=1)
-        sig, intf = _log_terms(_split(GapSpec(F, np.zeros((F.shape[1],) * 2)), own[k]))
+        # With zero covariance the surrogate terms are the rate terms of
+        # the realization F = mean, bit for bit.
+        spec = GapSpec(F, np.zeros((F.shape[1],) * 2))
+        sig, intf = (_esei_term(s, 1.0) for s in _split(spec, own[k]))
         total += u.rate_weight * (sig - intf)
     return total
 
@@ -186,8 +184,7 @@ def ewsr_monte_carlo(
     exact value (the realization at the mean) is returned with zero
     standard error.
     """
-    if n_samples < 2:
-        raise DomainError(f"need at least 2 samples, got {n_samples}")
+    n_samples, seed, workers = check_run(n_samples, seed, workers)
     if _deterministic(scenario):
         means = [[link.mean for link in row] for row in scenario.links]
         value = wsr_realization(scenario, precoders, means)
@@ -231,7 +228,10 @@ def esei_terms(scenario: IbcScenario, precoders: PrecoderSet):
     ln|I + E F F^H| for the signal and the interference spec of each
     user, E F F^H being the mean part plus tr(cov) I.
     """
-    return [_log_terms(specs) for specs in _term_specs(scenario, precoders)]
+    return [
+        tuple(_esei_term(s, 1.0) for s in specs)
+        for specs in _term_specs(scenario, precoders)
+    ]
 
 
 def esei_wsr(scenario: IbcScenario, precoders: PrecoderSet) -> float:
@@ -242,62 +242,57 @@ def esei_wsr(scenario: IbcScenario, precoders: PrecoderSet) -> float:
     return total
 
 
+def _closed_form_limit(eff: GapSpec, n_samples, seed, workers) -> float:
+    """Exact zero-mean limit: i.i.d. MIMO on the nonzero subspace when its
+    eigenvalues are equal and at least N, else correlated MISO."""
+    if not eff.is_zero_mean():
+        raise UnsupportedCase("closed-form gap limits need a zero-mean spec")
+    lam, N = eff.nonzero_eigenvalues, eff.n_rx
+    if lam.max() / lam.min() - 1.0 <= 1e-9:
+        if lam.size >= N:
+            return gamma_inf_mimo_iid(lam.size, N)
+    elif N == 1:
+        try:
+            return gamma_inf_miso_corr(EigenSpectrum(lam))
+        except DegenerateSpectrum as exc:
+            raise UnsupportedCase(f"no closed-form gap limit: {exc}") from exc
+    raise UnsupportedCase("no closed-form gap limit for this spectrum/antenna combination")
+
+
+def _taylor_limit(eff: GapSpec, n_samples, seed, workers) -> float:
+    if not eff.is_zero_mean():
+        raise UnsupportedCase("the second-order limit is only derived for zero mean")
+    return taylor_gamma2_inf_zero_mean(eff.cov, eff.n_rx)
+
+
+def _high_snr_limit(eff: GapSpec, n_samples, seed, workers) -> float:
+    est = gamma_rho(eff, RHO_HIGH_SNR, n_samples, seed, workers=workers)
+    return max(est.value, 0.0)
+
+
+_LIMITS = dict(zip(GAP_METHODS, (_closed_form_limit, _taylor_limit, _high_snr_limit)))
+
+
 def _gamma_limit(eff: GapSpec, method: str, n_samples: int, seed: int, workers: int):
     """One gap limit for a signal or interference spec, by the requested method.
 
-    Returns (value, tag). "auto" prefers exact closed forms, falls back
-    to the second-order limit for zero-mean cases it cannot match, and
-    to high-SNR Monte-Carlo only when the mean is nonzero.
+    Returns (value, tag). "auto" returns the first method of GAP_METHODS
+    that does not raise UnsupportedCase; an explicit method raises it.
+    A spec without covariance has the exact limit 0 under every method.
     """
-    if method not in _METHOD_RANK and method != "auto":
-        raise DomainError(
-            "gamma_method must be one of auto, closed-form, taylor, monte-carlo-high-snr"
-        )
+    if method != "auto" and method not in GAP_METHODS:
+        raise DomainError(f"gamma_method must be one of auto, {', '.join(GAP_METHODS)}")
     trc = float(np.trace(eff.cov).real)
     scale = max(1.0, float(np.max(np.abs(eff.mean)) ** 2)) if eff.mean.size else 1.0
     if trc <= 1e-14 * scale:
-        return 0.0, "closed-form"
-    zero_mean = eff.is_zero_mean()
-    N = eff.n_rx
-
-    def closed_form():
-        eig = eff.spectrum.eigenvalues
-        lam = eig[eig > 1e-9 * float(eig.max(initial=0.0))]
-        if lam.size == 0:
-            return None
-        if lam.max() / lam.min() - 1.0 <= 1e-9:
-            # equal eigenvalues: i.i.d. on the nonzero subspace
-            rank = int(lam.size)
-            if rank >= N:
-                return gamma_inf_mimo_iid(rank, N)
-            return None
-        if N == 1 and min_relative_gap(lam) > 1e-6:
-            return gamma_inf_miso_corr(EigenSpectrum(lam))
-        return None
-
-    if method == "closed-form":
-        if not zero_mean:
-            raise UnsupportedCase("closed-form gap limits need a zero-mean spec")
-        value = closed_form()
-        if value is None:
-            raise UnsupportedCase(
-                "no closed-form gap limit for this spectrum/antenna combination"
-            )
-        return value, "closed-form"
-    if method == "taylor":
-        if not zero_mean:
-            raise UnsupportedCase("the second-order limit is only derived for zero mean")
-        return taylor_gamma2_inf_zero_mean(eff.cov, N), "taylor"
-    if method == "monte-carlo-high-snr":
-        est = gamma_rho(eff, RHO_HIGH_SNR, n_samples, seed, workers=workers)
-        return max(est.value, 0.0), "monte-carlo-high-snr"
-    if zero_mean:
-        value = closed_form()
-        if value is not None:
-            return value, "closed-form"
-        return taylor_gamma2_inf_zero_mean(eff.cov, N), "taylor"
-    est = gamma_rho(eff, RHO_HIGH_SNR, n_samples, seed, workers=workers)
-    return max(est.value, 0.0), "monte-carlo-high-snr"
+        return 0.0, GAP_METHODS[0]
+    tried = GAP_METHODS if method == "auto" else (method,)
+    for name in tried:
+        try:
+            return _LIMITS[name](eff, n_samples, seed, workers), name
+        except UnsupportedCase:
+            if name == tried[-1]:
+                raise
 
 
 def sandwich_bounds(
@@ -326,9 +321,7 @@ def sandwich_bounds(
         )
         gammas_k.append(g_sig)
         gammas_kbar.append(g_int)
-        methods.append(
-            tag_sig if _METHOD_RANK[tag_sig] >= _METHOD_RANK[tag_int] else tag_int
-        )
+        methods.append(max(tag_sig, tag_int, key=GAP_METHODS.index))
     weights = np.array([u.rate_weight for u in scenario.users])
     gk = np.asarray(gammas_k)
     gkbar = np.asarray(gammas_kbar)

@@ -5,7 +5,7 @@ import pytest
 
 from ewsrgap import linalg
 from ewsrgap.channel import exp_profile_cov
-from ewsrgap.errors import DegenerateSpectrum, DomainError, check_integer
+from ewsrgap.errors import DegenerateSpectrum, DomainError, check_integer, check_nonnegative
 from ewsrgap.gap import (
     MAX_CHUNK_ENTRIES,
     EigenSpectrum,
@@ -77,6 +77,10 @@ class TestGapSpec:
         assert spec.mean.shape == (1, 3)
         assert spec.n_rx == 1
 
+    def test_nonzero_eigenvalues_drop_null_directions(self):
+        spec = GapSpec(mean=np.zeros((1, 3)), cov=np.diag([1.0, 0.0, 2.0]))
+        assert np.array_equal(spec.nonzero_eigenvalues, [2.0, 1.0])
+
     def test_zero_mean_predicate(self):
         assert GapSpec(mean=np.zeros((1, 2)), cov=np.eye(2)).is_zero_mean()
         assert not GapSpec(mean=np.ones((1, 2)), cov=np.eye(2)).is_zero_mean()
@@ -102,6 +106,30 @@ def test_check_integer():
     for bad in (0, -1, 2.0, 2.5, True, np.bool_(True), "3", None):
         with pytest.raises(DomainError, match="n must be an integer >= 1"):
             check_integer(bad, "n")
+    assert check_integer(0, "seed", 0) == 0
+    with pytest.raises(DomainError, match="n_samples must be an integer >= 2"):
+        check_integer(1, "n_samples", 2)
+
+
+def test_check_nonnegative():
+    for good in (0, 0.0, 2, np.int64(3), np.float32(0.5), 1e308):
+        value = check_nonnegative(good, "rho")
+        assert value == good and type(value) is float
+    for bad in (-1e-300, np.nan, np.inf, 10**400, True, np.bool_(True), "1", None, 1j):
+        with pytest.raises(DomainError, match="rho must be a finite real number >= 0"):
+            check_nonnegative(bad, "rho")
+
+
+@pytest.mark.parametrize("rho", [np.nan, np.inf, True])
+def test_rho_checked_at_every_entry(rho):
+    # NaN used to give a zero gap and True an SNR of 1
+    spec = GapSpec(mean=np.zeros((1, 2)), cov=np.eye(2))
+    with pytest.raises(DomainError, match="rho must be a finite real number"):
+        gamma_rho(spec, rho, 100, 0)
+    with pytest.raises(DomainError, match="rho must be a finite real number"):
+        monotonicity_sweep(spec, [0.0, 1.0, rho], 100, 0)
+    with pytest.raises(DomainError, match="rho must be a finite real number"):
+        taylor_gamma2(spec, rho)
 
 
 def test_min_relative_gap():
@@ -126,15 +154,6 @@ class TestEigenSpectrum:
         with pytest.raises(DegenerateSpectrum):
             EigenSpectrum([1.0, 1.0])
 
-    def test_from_matrix_drops_null_directions(self):
-        C = np.diag([2.0, 1.0, 0.0]).astype(complex)
-        s = EigenSpectrum.from_matrix(C)
-        assert np.array_equal(s.lambdas, [2.0, 1.0])
-
-    def test_paper_scaled_validation(self):
-        EigenSpectrum([1.5, 0.5], paper_scaled=True)
-        with pytest.raises(DomainError):
-            EigenSpectrum([1.5, 0.6], paper_scaled=True)
 
 
 class TestGammaRho:

@@ -25,6 +25,23 @@ class TestVectorStats:
         with pytest.raises(DomainError):
             vector_stats(1, 0, _sum_stat)
 
+    @pytest.mark.parametrize(
+        "n_samples, seed, workers, name",
+        [
+            (5000.0, 0, 1, "n_samples"),
+            (True, 0, 1, "n_samples"),
+            (100, -1, 1, "seed"),
+            (100, 1.5, 1, "seed"),
+            (100, True, 1, "seed"),
+            (100, 0, 0, "workers"),
+            (100, 0, 2.5, "workers"),
+            (100, 0, True, "workers"),
+        ],
+    )
+    def test_rejects_malformed_run_arguments(self, n_samples, seed, workers, name):
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            vector_stats(n_samples, seed, _sum_stat, workers=workers)
+
     @pytest.mark.parametrize("n", [2, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1, 3 * CHUNK_SIZE + 17])
     def test_worker_count_never_changes_results(self, n):
         base = vector_stats(n, 123, _sum_stat, workers=1, track_diffs=True)

@@ -242,6 +242,30 @@ class TestBruteForce:
             brute_force_gap(spec, -1.0, 100, 0)
 
 
+@pytest.mark.parametrize("rho", [np.nan, np.inf, True])
+def test_rho_checked_by_every_oracle(rho):
+    # NaN and inf used to come back as values, and True as an SNR of 1
+    spec = GapSpec(mean=np.zeros((1, 2)), cov=np.eye(2))
+    for evaluate in (
+        lambda: exact_e_log_miso_iid(2, rho),
+        lambda: exact_e_log_miso_corr(EigenSpectrum([2.0, 1.0]), rho),
+        lambda: e_log_quadrature(2, rho),
+        lambda: brute_force_gap(spec, rho, 100, 0),
+    ):
+        with pytest.raises(DomainError, match="rho must be a finite real number"):
+            evaluate()
+
+
+@pytest.mark.parametrize(
+    "n_samples, seed, name",
+    [(100.0, 0, "n_samples"), (True, 0, "n_samples"), (100, -1, "seed"), (100, 1.5, "seed")],
+)
+def test_brute_force_checks_sample_count_and_seed(n_samples, seed, name):
+    spec = GapSpec(mean=np.zeros((1, 2)), cov=np.eye(2))
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        brute_force_gap(spec, 1.0, n_samples, seed)
+
+
 def test_corr_weight_degeneracy_guard():
     spec = EigenSpectrum([1.0, 1.0 + 5e-12])
     with pytest.raises(DegenerateSpectrum):

@@ -11,10 +11,11 @@ from ewsrgap.channel import (
     uniform_power_precoders,
 )
 from ewsrgap.errors import DimensionMismatch, DomainError, UnsupportedCase
-from ewsrgap.gap import GapSpec
+from ewsrgap.gap import EigenSpectrum, GapSpec, gamma_inf_miso_corr
 from ewsrgap.mc import complex_normal
 from ewsrgap.oracle import exact_e_log_miso_iid
 from ewsrgap.rates import (
+    GAP_METHODS,
     SandwichBound,
     _term_specs,
     esei_terms,
@@ -254,6 +255,15 @@ class TestEwsrMonteCarlo:
         sc, ps = _orthogonal_two_user_miso()
         with pytest.raises(DomainError):
             ewsr_monte_carlo(sc, ps, 1, 0)
+
+    @pytest.mark.parametrize(
+        "n_samples, seed, workers, name",
+        [(5000.0, 0, 1, "n_samples"), (100, -1, 1, "seed"), (100, 0, 0, "workers")],
+    )
+    def test_deterministic_shortcut_checks_run_arguments(self, n_samples, seed, workers, name):
+        sc, ps = _orthogonal_two_user_miso()
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            ewsr_monte_carlo(sc, ps, n_samples, seed, workers=workers)
 
     def test_symmetric_scenario_matches_gamma_oracle(self):
         # aggregate Q = 25 I_4, per-user own beam 25 e_k e_k^H: the exact
@@ -545,6 +555,74 @@ class TestSandwichBounds:
         assert sb.esei_value == pytest.approx(1.94898725622457, rel=1e-12)
         tag = "closed-form" if method == "auto" else method
         assert sb.method_per_user == [tag] * 4
+
+    @pytest.mark.parametrize(
+        "N, D, powers, mean, cov, tag",
+        [
+            pytest.param(1, 1, [1.0], 0.0, np.eye(3), "closed-form", id="iid-miso"),
+            pytest.param(2, 2, [1.0], 0.0, np.eye(3), "closed-form", id="iid-mimo"),
+            pytest.param(
+                1, 1, [1.0] * 3, 0.0, np.diag([3.0, 2.0, 1.0]), "closed-form", id="corr-miso"
+            ),
+            pytest.param(
+                1, 1, [1.0, 1.0 + 1e-7, 1.0 + 2e-7], 0.0, np.eye(3), "taylor",
+                id="spectrum-gap-below-1e-6",
+            ),
+            pytest.param(2, 2, [1.0], 0.0, np.diag([2.0, 0.0]), "taylor", id="rank-deficient-mimo"),
+            pytest.param(
+                2, 2, [1.0], 1.0 + 0.5j, np.eye(2), "monte-carlo-high-snr", id="nonzero-mean"
+            ),
+            pytest.param(
+                2, 2, [1.0], 1.0 + 0.5j, np.zeros((2, 2)), "closed-form", id="zero-covariance"
+            ),
+        ],
+    )
+    def test_auto_is_first_explicit_method_that_applies(self, N, D, powers, mean, cov, tag):
+        # One cell; user k sends D streams on antennas kD..kD+D-1 at power
+        # powers[k]. A lone MISO user has a one-column spec, so the
+        # correlated and near-degenerate MISO cases serve three users,
+        # chosen so that every signal and interference spec of the
+        # scenario needs the same method.
+        M = cov.shape[0]
+        users = [UserConfig(serving_bs=0, rx_antennas=N, streams=D, rate_weight=1.5)] * len(powers)
+        sc = IbcScenario(
+            bs_antennas=[M],
+            users=users,
+            power_budgets=[D * sum(powers) + 1.0],
+            links=[[GapSpec(mean=np.full((N, M), mean), cov=cov)] for _ in users],
+        )
+        eye = np.eye(M, dtype=complex)
+        ps = PrecoderSet([np.sqrt(p) * eye[:, k * D : (k + 1) * D] for k, p in enumerate(powers)])
+        kwargs = dict(n_samples=2000, seed=7)
+        auto = sandwich_bounds(sc, ps, "auto", **kwargs)
+        for method in GAP_METHODS:
+            try:
+                first = sandwich_bounds(sc, ps, method, **kwargs)
+            except UnsupportedCase:
+                continue
+            break
+        assert auto.method_per_user == first.method_per_user == [tag] * len(powers)
+        assert np.array_equal(auto.per_user_gamma_k, first.per_user_gamma_k)
+        assert np.array_equal(auto.per_user_gamma_kbar, first.per_user_gamma_kbar)
+        assert (auto.lower, auto.upper) == (first.lower, first.upper)
+
+    def test_closed_form_drops_null_directions(self):
+        # three single-stream MISO users on the antennas of a rank-2
+        # covariance: every signal spec has eigenvalues {2, 1, 0}, and
+        # its limit is the correlated MISO form on {2, 1}
+        users = [UserConfig(serving_bs=0, rx_antennas=1, streams=1, rate_weight=1.0)] * 3
+        cov = np.diag([0.0, 2.0, 1.0])
+        sc = IbcScenario(
+            bs_antennas=[3],
+            users=users,
+            power_budgets=[3.0],
+            links=[[GapSpec(mean=np.zeros((1, 3)), cov=cov)] for _ in users],
+        )
+        ps = PrecoderSet([np.eye(3, dtype=complex)[:, [k]] for k in range(3)])
+        sb = sandwich_bounds(sc, ps, "closed-form")
+        want = gamma_inf_miso_corr(EigenSpectrum([2.0, 1.0]))
+        assert sb.per_user_gamma_k == pytest.approx([want] * 3, rel=1e-12)
+        assert sb.method_per_user == ["closed-form"] * 3
 
     def test_unknown_method_rejected(self):
         sc, ps = _orthogonal_two_user_miso()
