@@ -26,7 +26,6 @@ from .channel import (
     uniform_power_precoders,
 )
 from .errors import (
-    DegenerateSpectrum,
     DimensionMismatch,
     DomainError,
     EwsrgapError,
@@ -40,15 +39,13 @@ from .errors import (
     ValidationError,
 )
 from .gap import (
-    EigenSpectrum,
     GapSpec,
     SweepResult,
+    e_log_quadform,
     gamma_inf_mimo_iid,
-    gamma_inf_miso_corr,
     gamma_inf_miso_iid,
     gamma_rho,
     monotonicity_sweep,
-    partial_fraction_weights,
     taylor_gamma2,
     taylor_gamma2_inf_zero_mean,
 )
@@ -100,7 +97,6 @@ __all__ = [
     "save_scenario",
     "stream_spec",
     "uniform_power_precoders",
-    "DegenerateSpectrum",
     "DimensionMismatch",
     "DomainError",
     "EwsrgapError",
@@ -112,15 +108,13 @@ __all__ = [
     "ParseError",
     "UnsupportedCase",
     "ValidationError",
-    "EigenSpectrum",
     "GapSpec",
     "SweepResult",
+    "e_log_quadform",
     "gamma_inf_mimo_iid",
-    "gamma_inf_miso_corr",
     "gamma_inf_miso_iid",
     "gamma_rho",
     "monotonicity_sweep",
-    "partial_fraction_weights",
     "taylor_gamma2",
     "taylor_gamma2_inf_zero_mean",
     "HermitianSpectrum",

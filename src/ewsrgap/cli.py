@@ -49,7 +49,7 @@ from .gap import (
     taylor_gamma2,
 )
 from .oracle import exact_e_log_miso_iid
-from .rates import GAP_METHODS, ewsr_monte_carlo, sandwich_bounds
+from .rates import AUTO_METHODS, GAP_METHODS, ewsr_monte_carlo, sandwich_bounds
 from .verify import run_suite
 
 _LN2 = float(np.log(2.0))
@@ -159,7 +159,8 @@ def _emit(out_path, meta: dict, header, rows) -> None:
 def cmd_fig1(args) -> int:
     scale = 1.0 / _LN2 if args.bits else 1.0
     snr_db = np.asarray(args.snr_db, dtype=float)
-    rho_grid = 10.0 ** (snr_db / 10.0)
+    with np.errstate(over="ignore"):  # an infinite rho is rejected by the sweep
+        rho_grid = 10.0 ** (snr_db / 10.0)
     rows = []
     for M in args.tx_antennas:
         spec = GapSpec(np.zeros((1, M)), np.eye(M))
@@ -387,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--method", default="auto",
                     choices=["auto", *GAP_METHODS],
                     help="gap-limit method (default auto: the first of "
-                    f"{', '.join(GAP_METHODS)} that applies)")
+                    f"{', '.join(AUTO_METHODS)} that applies)")
     sw.set_defaults(func=cmd_sandwich)
 
     vf = sub.add_parser("verify", help="run property suites")

@@ -40,10 +40,6 @@ class NoConvergence(EwsrgapError, RuntimeError):
     """An iterative kernel exhausted its iteration budget."""
 
 
-class DegenerateSpectrum(EwsrgapError, ValueError):
-    """Eigenvalues are equal or nearly equal where distinctness is required."""
-
-
 class UnsupportedCase(EwsrgapError, ValueError):
     """The requested method is not valid for the given configuration."""
 

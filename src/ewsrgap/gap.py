@@ -7,8 +7,9 @@ For an effective channel distributed as H = mean + W sqrt(cov), the gap
 is nonnegative (Jensen) and monotonically increasing in rho, so its
 infinite-SNR value bounds it everywhere. This module provides the
 Monte-Carlo estimator of Gamma(rho), the closed-form infinite-SNR
-limits for the zero-mean i.i.d. MISO/MIMO and correlated MISO cases,
-and the deterministic second-order approximation Gamma_2.
+limits for zero-mean i.i.d. MISO/MIMO channels, the second-order
+approximation Gamma_2, and e_log_quadform: exact quadrature of
+E ln(1 + rho x) for a single-antenna spec with any mean and spectrum.
 
 Every Monte-Carlo draw of a GapSpec, here and in `rates`, comes from
 ``GapSpec.draw``, which samples in the eigenbasis of
@@ -27,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateSpectrum, DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError
 from .errors import check_integer, check_nonnegative
 from .mc import CHUNK_SIZE, MonteCarloEstimate, check_run, complex_normal, vector_stats
 from .special import euler_gamma, harmonic
@@ -36,6 +37,10 @@ from .special import euler_gamma, harmonic
 # max(width * width, CHUNK_SIZE * n_rx * max(n_rx, width)), 2 GiB of
 # complex doubles.
 MAX_CHUNK_ENTRIES = 2**27
+
+# The error target and the strip half-width of e_log_quadform.
+QUAD_TOL = 1e-16
+_STRIP = np.pi / 3.0
 
 
 def check_spec_size(n_rx: int, width: int) -> None:
@@ -119,27 +124,6 @@ class GapSpec:
         if not np.isfinite(G).all():
             raise DomainError("the expected Gram overflows the float range")
         return G
-
-
-@dataclass
-class EigenSpectrum:
-    """Strictly positive, pairwise distinct eigenvalues, sorted descending."""
-
-    lambdas: np.ndarray
-
-    def __post_init__(self):
-        lam = np.sort(np.asarray(self.lambdas, dtype=float))[::-1]
-        if lam.size == 0:
-            raise DomainError("spectrum must hold at least one eigenvalue")
-        if np.any(lam <= 0.0):
-            raise DomainError("eigenvalues must be strictly positive")
-        if np.any(np.diff(lam) == 0.0):
-            raise DegenerateSpectrum("eigenvalues must be pairwise distinct")
-        self.lambdas = lam
-
-    @property
-    def p(self) -> int:
-        return int(self.lambdas.size)
 
 
 def _esei_term(spec: GapSpec, rho: float) -> float:
@@ -244,40 +228,74 @@ def gamma_inf_miso_iid(M: int) -> float:
     return euler_gamma() + float(np.log(M)) - h
 
 
-def gamma_inf_miso_corr(spectrum: EigenSpectrum) -> float:
-    """Infinite-SNR gap for a zero-mean correlated MISO channel.
+def e_log_quadform(lam, mu2, rho) -> float:
+    """E ln(1 + rho x), or E ln x when rho is inf, for the quadratic form
+    x = sum_i |mu_i + sqrt(lam_i) w_i|^2, w_i i.i.d. CN(0, 1): ||h||^2 of a
+    one-row GapSpec whose covariance eigenvalues are lam >= 0 (any, even
+    repeated or zero) and whose mean has |mu_i|^2 = mu2 in their basis.
+    With m = E x, a = lam/m, b = mu2/m, r = rho m and s = e^u, the MGF of
+    y = x/m, phi(s) = prod_i exp(-s b_i/(1 + s a_i))/(1 + s a_i), gives
+    E ln(1 + r y) = int (1 - phi(r s)) e^{-s} du and
+    E ln y = E ln x - ln m = int (e^{-s} - phi(s)) du.
 
-    gamma - (sum_i w_i ln lambda_i - ln sum_i lambda_i) with
-    hyperexponential partial-fraction weights
-    w_i = prod_{l != i} 1/(1 - lambda_l/lambda_i). The expression is
-    invariant under scaling every eigenvalue by the same factor.
+    Error bound: the trapezoid error and each cut tail stay below tol =
+    QUAD_TOL (times ln(1 + r) for finite rho). On |Im u| < a = _STRIP,
+    Re s >= |s|/2 and |phi(s)| <= prod_i min(1, 1/(|s| a_i)), so each
+    line of the strip has an L1 norm of at most B = min(2r, 2 + 2 ln(1 + r)),
+    or (1 + E y^2)/4 + 1 + ln 3 - ln max(a) at rho = inf, and the step h
+    solves 2B/(e^{2 pi a/h} - 1) = tol (Trefethen & Weideman, SIAM Rev.
+    2014, Thm 5.1). The cuts integrate monotone majorants: r e^u and
+    e^{-e^u} for finite rho; (1 + E y^2) e^{2u}/4, e^{-e^u} and the tails
+    e^{-j u}/(j prod_{i<=j} a_i) of phi (a descending) at rho = inf, whose
+    1/s tail a fixed range would cut.
     """
-    lam = spectrum.lambdas
-    gap = min_relative_gap(lam)
-    if gap <= 1e-6:
-        raise DegenerateSpectrum(
-            "eigenvalues too close for the partial-fraction form "
-            f"(min relative gap {gap:.2e} <= 1e-6)"
-        )
-    w = partial_fraction_weights(lam)
-    return euler_gamma() - (float(np.sum(w * np.log(lam))) - float(np.log(lam.sum())))
-
-
-def min_relative_gap(lam) -> float:
-    """Smallest |lambda_i - lambda_j| / max(lambda_i, lambda_j) over pairs
-    i != j of positive eigenvalues; inf for fewer than two."""
-    lam = np.asarray(lam, dtype=float)
-    gaps = np.abs(np.subtract.outer(lam, lam)) / np.maximum.outer(lam, lam)
-    np.fill_diagonal(gaps, np.inf)
-    return float(gaps.min(initial=np.inf))
-
-
-def partial_fraction_weights(lam: np.ndarray) -> np.ndarray:
-    """Weights w_i = prod_{l != i} 1/(1 - lambda_l/lambda_i); they sum to 1."""
-    lam = np.asarray(lam, dtype=float)
-    ratio = 1.0 - lam[None, :] / lam[:, None]
-    np.fill_diagonal(ratio, 1.0)
-    return 1.0 / np.prod(ratio, axis=1)
+    lam, mu2 = np.asarray(lam, dtype=float), np.asarray(mu2, dtype=float)
+    if lam.ndim != 1 or lam.shape != mu2.shape:
+        raise DimensionMismatch(f"lam and mu2 must be 1-d of one length, not {lam.shape}")
+    if not np.all(np.isfinite(lam) & np.isfinite(mu2) & (lam >= 0.0) & (mu2 >= 0.0)):
+        raise DomainError("lam and mu2 must be finite and >= 0")
+    infinite = rho == np.inf
+    rho = np.inf if infinite else check_nonnegative(rho, "rho")
+    with np.errstate(over="ignore"):  # raised below
+        m = float(lam.sum() + mu2.sum())
+    r = rho * m
+    if not np.isfinite(m) or (r == np.inf and not infinite):
+        raise DomainError("rho E x overflows the float range")
+    if not r > 0.0:  # x = 0, or r underflows
+        return -np.inf if infinite else 0.0
+    a, b = lam / m, mu2 / m
+    if a.max() == 0.0:  # deterministic x = m
+        return float(np.log(m) if infinite else np.log1p(r))
+    # ln tol and B / tol, so that a tiny r underflows nothing
+    if infinite:
+        log_tol = np.log(QUAD_TOL)
+        ey2 = 1.0 + float(np.sum(a * a + 2.0 * a * b))
+        b_tol = (0.25 * (1.0 + ey2) + np.log(3.0) + 1.0 - np.log(a.max())) / QUAD_TOL
+        lo = 0.5 * (np.log(4.0 / (1.0 + ey2)) + log_tol)
+        pos = np.sort(a[a > 0.0])[::-1]
+        j = np.arange(1, pos.size + 1)
+        power_cut = np.min((np.log(2.0 / j) - log_tol - np.cumsum(np.log(pos))) / j)
+        hi = max(np.log(max(1.0, np.log(2.0) - log_tol)), power_cut)
+        if hi > 700.0:  # e^hi would leave the float range
+            raise DomainError("the covariance is too small against E x for the quadrature")
+    else:
+        ln_r = np.log1p(r)
+        log_tol = np.log(QUAD_TOL) + np.log(ln_r)
+        b_tol = min(2.0 * r, 2.0 + 2.0 * ln_r) / ln_r / QUAD_TOL
+        lo, hi = log_tol - np.log(r), np.log(max(1.0, -log_tol))
+    h = 2.0 * np.pi * _STRIP / np.log1p(2.0 * b_tol)
+    s = np.exp(lo + h * np.arange(int(np.ceil((hi - lo) / h)) + 1))
+    rs = s if infinite else r * s
+    sa, sb = np.outer(rs, a), np.outer(rs, b)
+    log_phi = -np.sum(np.log1p(sa) + sb / (1.0 + sa), axis=1)
+    if not infinite:
+        return float(h * np.sum(-np.expm1(log_phi) * np.exp(-s)))
+    # below q = s + ln phi(s) = 1, e^{-s} - phi(s) = -e^{-s} expm1(q), with q
+    # summed term by term so that small s loses no digits
+    q = np.sum(sa - np.log1p(sa) + sb * sa / (1.0 + sa), axis=1)
+    f = np.exp(-s) - np.exp(log_phi)
+    f[q < 1.0] = -np.exp(-s[q < 1.0]) * np.expm1(q[q < 1.0])
+    return float(np.log(m) + h * f.sum())
 
 
 def gamma_inf_mimo_iid(M: int, N_k: int) -> float:

@@ -68,6 +68,19 @@ class TestFig1:
             assert float(row[7]) == gamma_inf_miso_iid(m)
             assert int(row[6]) == 2000
 
+    def test_overflowing_snr_fails_typed_without_warnings(self, tmp_path):
+        # 10^(4000/10) overflows; under -W error a numpy warning would
+        # end in a traceback before the typed rejection of rho = inf
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "ewsrgap.cli", "fig1", "--snr-db", "4000",
+             "--tx-antennas", "1", "--samples", "100", "--out", str(tmp_path / "fig1.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: rho must be a finite real number")
+        assert proc.stderr.count("\n") == 1
+
     def test_exact_column_monotone_per_antenna_count(self, tmp_path):
         out = tmp_path / "fig1.csv"
         main(FIG1_FAST + ["--out", str(out)])
@@ -271,21 +284,23 @@ class TestSandwich:
 
 
     def test_taylor_fallback_overflow_fails_typed_without_warnings(self, tmp_path, capsys):
-        # a 2-antenna user with one stream has no closed form, so auto
-        # falls back to the second-order limit, whose tr(C^2) overflows
-        users = [UserConfig(serving_bs=0, rx_antennas=2, streams=1, rate_weight=1.0)]
+        # a 2-antenna user on two streams of a correlated covariance has
+        # no closed form; the second-order limit, which only an explicit
+        # request gets, overflows in tr(C^2)
+        users = [UserConfig(serving_bs=0, rx_antennas=2, streams=2, rate_weight=1.0)]
         sc = IbcScenario(
             bs_antennas=[3],
             users=users,
             power_budgets=[1.0],
-            links=[[GapSpec(mean=np.zeros((2, 3)), cov=1e306 * np.eye(3))]],
+            links=[[GapSpec(mean=np.zeros((2, 3)), cov=1e306 * np.diag([1.0, 2.0, 3.0]))]],
         )
         path = tmp_path / "huge.json"
         save_scenario(sc, path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["sandwich", "--scenario", str(path), "--uniform-precoders",
-                         "--samples", "100", "--out", str(tmp_path / "sw.csv")])
+                         "--method", "taylor", "--samples", "100",
+                         "--out", str(tmp_path / "sw.csv")])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "overflow" in err and err.count("\n") == 1
@@ -299,7 +314,8 @@ class TestSandwich:
     ])
     def test_huge_link_fails_typed_without_warnings(self, tmp_path, capsys, mean, cov,
                                                     method):
-        users = [UserConfig(serving_bs=0, rx_antennas=2, streams=1, rate_weight=1.0)]
+        # two streams, so that the spec has full rank and a finite limit
+        users = [UserConfig(serving_bs=0, rx_antennas=2, streams=2, rate_weight=1.0)]
         sc = IbcScenario(
             bs_antennas=[3],
             users=users,

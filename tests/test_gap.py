@@ -5,24 +5,23 @@ import pytest
 
 from ewsrgap import linalg
 from ewsrgap.channel import exp_profile_cov
-from ewsrgap.errors import DegenerateSpectrum, DomainError, check_integer, check_nonnegative
+from ewsrgap import gap
+from ewsrgap.errors import DimensionMismatch, DomainError, check_integer, check_nonnegative
 from ewsrgap.gap import (
     MAX_CHUNK_ENTRIES,
-    EigenSpectrum,
     GapSpec,
     check_spec_size,
+    e_log_quadform,
     gamma_inf_mimo_iid,
-    gamma_inf_miso_corr,
     gamma_inf_miso_iid,
     gamma_rho,
-    min_relative_gap,
     monotonicity_sweep,
     taylor_gamma2,
     taylor_gamma2_inf_zero_mean,
 )
 from ewsrgap.mc import chunk_stream, complex_normal
-from ewsrgap.oracle import brute_force_gap
-from ewsrgap.special import euler_gamma, harmonic
+from ewsrgap.oracle import brute_force_gap, exact_e_log_miso_corr, exact_e_log_miso_iid
+from ewsrgap.special import euler_gamma, expn_scaled, harmonic
 
 
 def _mean(rng, N, M):
@@ -132,30 +131,6 @@ def test_rho_checked_at_every_entry(rho):
         taylor_gamma2(spec, rho)
 
 
-def test_min_relative_gap():
-    assert min_relative_gap([3.0, 1.0, 2.0]) == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert min_relative_gap([2.0]) == np.inf
-    assert min_relative_gap([1.0, 1.0 + 1e-9]) < 1e-6
-
-
-class TestEigenSpectrum:
-    def test_sorted_descending(self):
-        s = EigenSpectrum([0.5, 2.0, 1.0])
-        assert np.array_equal(s.lambdas, [2.0, 1.0, 0.5])
-        assert s.p == 3
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            EigenSpectrum([1.0, 0.0])
-        with pytest.raises(DomainError):
-            EigenSpectrum([])
-
-    def test_rejects_exact_duplicates(self):
-        with pytest.raises(DegenerateSpectrum):
-            EigenSpectrum([1.0, 1.0])
-
-
-
 class TestGammaRho:
     def test_zero_snr_is_exactly_zero(self):
         spec = GapSpec(mean=np.zeros((1, 4)), cov=np.eye(4))
@@ -212,19 +187,46 @@ class TestMisoIidLimit:
             gamma_inf_miso_iid(0)
 
 
+def _miso_limit(lam):
+    """Gamma(inf) = ln E x - E ln x of a zero-mean one-row spec, by the kernel."""
+    lam = np.asarray(lam, dtype=float)
+    return np.log(lam.sum()) - e_log_quadform(lam, np.zeros_like(lam), np.inf)
+
+
+def _mp_miso_corr(lam, rho=None, dps=250):
+    """Partial fractions in mpmath at dps digits: E ln(1 + rho x) for x a
+    hyperexponential mixture, or Gamma(inf) when rho is None. Enough
+    digits survive the weights' cancellation to leave 30 correct."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        lam = [mp.mpf(float(v)) for v in lam]
+        total = mp.mpf(0)
+        for i, li in enumerate(lam):
+            w = mp.mpf(1)
+            for j, lj in enumerate(lam):
+                if j != i:
+                    w /= 1 - lj / li
+            if rho is None:
+                total += w * (mp.log(li) - mp.euler)
+            else:
+                z = 1 / (mp.mpf(rho) * li)
+                total += w * mp.exp(z) * mp.e1(z)
+        if rho is None:
+            return float(mp.log(sum(lam)) - total)
+        return float(total)
+
+
 class TestMisoCorrLimit:
+    """The correlated MISO limit, ln E x - E ln x by e_log_quadform."""
+
     def test_single_eigenvalue(self):
-        assert gamma_inf_miso_corr(EigenSpectrum([1.0])) == pytest.approx(
-            euler_gamma(), rel=1e-15
-        )
-        assert gamma_inf_miso_corr(EigenSpectrum([7.3])) == pytest.approx(
-            euler_gamma(), rel=1e-12
-        )
+        assert _miso_limit([1.0]) == pytest.approx(euler_gamma(), rel=1e-15)
+        assert _miso_limit([7.3]) == pytest.approx(euler_gamma(), rel=1e-14)
 
     def test_two_eigenvalue_reference(self):
         # w = (1.5, -0.5) for eigenvalues (1.5, 0.5), so the gap is
         # gamma - (1.5 ln 1.5 - 0.5 ln 0.5 - ln 2) = 0.3155916...
-        got = gamma_inf_miso_corr(EigenSpectrum([1.5, 0.5]))
+        got = _miso_limit([1.5, 0.5])
         hand = euler_gamma() - (
             1.5 * np.log(1.5) - 0.5 * np.log(0.5) - np.log(2.0)
         )
@@ -232,26 +234,110 @@ class TestMisoCorrLimit:
         assert got == pytest.approx(0.315591593019259, rel=1e-13)
 
     def test_scale_invariance(self):
-        base = gamma_inf_miso_corr(EigenSpectrum([2.0, 1.2, 0.4]))
-        scaled = gamma_inf_miso_corr(EigenSpectrum([20.0, 12.0, 4.0]))
+        base = _miso_limit([2.0, 1.2, 0.4])
+        scaled = _miso_limit([20.0, 12.0, 4.0])
         assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_exceeds_iid_gap(self):
         # correlation widens the infinite-SNR gap relative to iid
-        spec = EigenSpectrum([1.5, 0.5])
-        assert gamma_inf_miso_corr(spec) > gamma_inf_miso_iid(2)
+        assert _miso_limit([1.5, 0.5]) > gamma_inf_miso_iid(2)
 
-    def test_near_equal_eigenvalues_rejected(self):
-        with pytest.raises(DegenerateSpectrum):
-            gamma_inf_miso_corr(EigenSpectrum([1.0, 1.0 + 1e-9]))
+    def test_near_equal_eigenvalues_match_iid(self):
+        # the partial fractions lose every digit here; the kernel does not
+        for p in (2, 8, 40):
+            for spread in (0.0, 1e-12, 1e-9):
+                lam = 1.0 + spread * np.arange(p)
+                assert _miso_limit(lam) == pytest.approx(gamma_inf_miso_iid(p), rel=1e-13)
 
     def test_consistency_at_high_snr(self):
         # MC estimate of Gamma(1e8) must approach the closed form
         lam = np.array([2.0, 1.2, 0.4])
         spec = GapSpec(mean=np.zeros((1, 3)), cov=np.diag(lam))
         est = gamma_rho(spec, 1e8, 400_000, 21)
-        want = gamma_inf_miso_corr(EigenSpectrum(lam))
+        want = _miso_limit(lam)
         assert est.value == pytest.approx(want, abs=max(3 * est.std_error, 1e-3))
+
+
+class TestQuadformKernel:
+    @pytest.mark.parametrize("M", [1, 4, 64])
+    @pytest.mark.parametrize("rho", [1.0, 1e3, 1e6])
+    def test_iid_accuracy(self, M, rho):
+        got = e_log_quadform(np.ones(M), np.zeros(M), rho)
+        assert got == pytest.approx(exact_e_log_miso_iid(M, rho), rel=5.7e-14)
+
+    @pytest.mark.parametrize("M", [1, 2, 4, 64, 256])
+    def test_iid_limit(self, M):
+        assert _miso_limit(np.ones(M)) == pytest.approx(gamma_inf_miso_iid(M), abs=5e-15)
+
+    def test_separated_spectra_match_partial_fractions(self):
+        # on spectra this well separated the weights keep their digits
+        for lam in ([3.0, 1.0, 0.25], 3.0 * 0.6 ** np.arange(8)):
+            for rho in (0.1, 1.0, 1e3, 1e6):
+                got = e_log_quadform(lam, np.zeros(len(lam)), rho)
+                assert got == pytest.approx(exact_e_log_miso_corr(lam, rho), rel=4e-13)
+                flipped = e_log_quadform(np.flip(lam), np.zeros(len(lam)), rho)
+                assert flipped == pytest.approx(got, rel=1e-14)
+
+    @pytest.mark.parametrize("lam", [
+        [1.5, 0.5],
+        [2.0, 1.2, 0.4, 0.05],
+        1.0 + 1e-3 * np.arange(40),
+        1.0 + 1e-6 * np.arange(12),
+    ], ids=["two", "four", "clustered-40", "clustered-12"])
+    def test_against_mpmath(self, lam):
+        assert _miso_limit(lam) == pytest.approx(_mp_miso_corr(lam), rel=1e-13)
+        for rho in (1.0, 1e4):
+            got = e_log_quadform(lam, np.zeros(len(lam)), rho)
+            assert got == pytest.approx(_mp_miso_corr(lam, rho), rel=1e-14)
+
+    def test_clustered_limit_value(self):
+        assert _miso_limit(1.0 + 1e-3 * np.arange(40)) == pytest.approx(0.0125536, abs=1e-7)
+
+    @pytest.mark.parametrize("rho", [0.5, 1e3, np.inf])
+    def test_halving_the_step_changes_nothing(self, rho, monkeypatch):
+        # the step is proportional to the strip half-width, so halving
+        # the strip halves h with the same cuts
+        rng = np.random.default_rng(9)
+        lam, mu2 = rng.uniform(0.0, 2.0, 6), rng.uniform(0.0, 1.0, 6)
+        coarse = e_log_quadform(lam, mu2, rho)
+        monkeypatch.setattr(gap, "_STRIP", gap._STRIP / 2.0)
+        assert e_log_quadform(lam, mu2, rho) == pytest.approx(coarse, rel=1e-14, abs=1e-15)
+
+    def test_rician_correlated_miso_against_monte_carlo(self):
+        mean = np.exp(1j * np.arange(6)) * 0.8
+        spec = GapSpec(mean=mean, cov=exp_profile_cov(6, 0.7))
+        lam = np.clip(spec.spectrum.eigenvalues, 0.0, None)
+        mu2 = np.abs(spec.mean @ spec.spectrum.eigenvectors)[0] ** 2
+        for rho in (1.0, 1e3):
+            exact = np.log1p(rho * (lam.sum() + mu2.sum())) - e_log_quadform(lam, mu2, rho)
+            est = gamma_rho(spec, rho, 100_000, 12)
+            assert abs(est.value - exact) <= 5.0 * est.std_error
+
+    def test_zero_eigenvalues_and_deterministic_forms(self):
+        # a zero eigenvalue with a mean adds the constant |mu|^2 to x
+        assert e_log_quadform([0.0, 0.0], [2.0, 1.0], np.inf) == pytest.approx(np.log(3.0))
+        assert e_log_quadform([0.0], [2.0], 4.0) == pytest.approx(np.log(9.0))
+        assert e_log_quadform([0.0], [0.0], np.inf) == -np.inf
+        assert e_log_quadform([2.0, 0.0], [0.0, 0.0], 1e3) == pytest.approx(
+            exact_e_log_miso_iid(1, 2e3), rel=1e-14
+        )
+        # x = E + c with E ~ Exp(1): E ln x = ln c + e^c E_1(c)
+        for c in (1e-12, 0.3, 20.0):
+            got = e_log_quadform([1.0, 0.0], [0.0, c], np.inf)
+            assert got == pytest.approx(np.log(c) + expn_scaled(1, c), rel=1e-13)
+        assert e_log_quadform([1.0], [1.0], 0.0) == 0.0
+
+    def test_rejects_bad_input(self):
+        for lam, mu2 in [([-1.0], [0.0]), ([1.0], [-1.0]), ([np.nan], [0.0]), ([np.inf], [0.0])]:
+            with pytest.raises(DomainError, match="finite and >= 0"):
+                e_log_quadform(lam, mu2, 1.0)
+        with pytest.raises(DimensionMismatch):
+            e_log_quadform([1.0, 2.0], [0.0], 1.0)
+        for rho in (-1.0, np.nan, True):
+            with pytest.raises(DomainError, match="rho must be a finite real number"):
+                e_log_quadform([1.0], [0.0], rho)
+        with pytest.raises(DomainError, match="overflows"):
+            e_log_quadform([1e300], [0.0], 1e300)
 
 
 class TestMimoIidLimit:

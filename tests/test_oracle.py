@@ -1,14 +1,15 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ewsrgap.errors import DegenerateSpectrum, DomainError
+import ewsrgap
+from ewsrgap.errors import DomainError
 from ewsrgap.gap import (
-    EigenSpectrum,
     GapSpec,
-    gamma_inf_miso_corr,
     gamma_inf_miso_iid,
     gamma_rho,
-    partial_fraction_weights,
 )
 from ewsrgap.oracle import (
     bartlett_sample,
@@ -16,6 +17,7 @@ from ewsrgap.oracle import (
     e_log_quadrature,
     exact_e_log_miso_corr,
     exact_e_log_miso_iid,
+    partial_fraction_weights,
 )
 from ewsrgap.special import euler_gamma, exp_integral_e1, harmonic
 
@@ -70,22 +72,21 @@ class TestExactMisoIid:
 
 class TestExactMisoCorr:
     def test_zero_snr(self):
-        spec = EigenSpectrum([2.0, 1.0])
-        assert exact_e_log_miso_corr(spec, 0.0) == 0.0
+        assert exact_e_log_miso_corr([2.0, 1.0], 0.0) == 0.0
 
     def test_single_eigenvalue_reduces_to_iid(self):
-        spec = EigenSpectrum([1.0])
         for rho in (0.3, 2.0, 50.0):
-            assert exact_e_log_miso_corr(spec, rho) == pytest.approx(
+            assert exact_e_log_miso_corr([1.0], rho) == pytest.approx(
                 exact_e_log_miso_iid(1, rho), rel=1e-13
             )
 
     def test_high_snr_asymptote(self):
-        # E ln(1 + rho x) -> ln(rho sum(lam)) - Gamma(inf)
-        spec = EigenSpectrum([1.5, 0.5])
+        # E ln(1 + rho x) -> ln(rho sum(lam)) - Gamma(inf), with
+        # Gamma(inf) = gamma - (sum_i w_i ln lam_i - ln sum(lam))
         rho = 1e8
-        want = np.log(rho * 2.0) - gamma_inf_miso_corr(spec)
-        assert exact_e_log_miso_corr(spec, rho) == pytest.approx(want, abs=1e-4)
+        limit = euler_gamma() - (1.5 * np.log(1.5) - 0.5 * np.log(0.5) - np.log(2.0))
+        want = np.log(rho * 2.0) - limit
+        assert exact_e_log_miso_corr([1.5, 0.5], rho) == pytest.approx(want, abs=1e-4)
 
     def test_against_monte_carlo(self):
         rng = np.random.default_rng(3)
@@ -95,7 +96,7 @@ class TestExactMisoCorr:
         x = 0.5 * np.sum(lam * np.abs(h) ** 2, axis=1)
         vals = np.log1p(rho * x)
         se = vals.std(ddof=1) / np.sqrt(n)
-        want = exact_e_log_miso_corr(EigenSpectrum(lam), rho)
+        want = exact_e_log_miso_corr(lam, rho)
         assert want == pytest.approx(vals.mean(), abs=3 * se)
 
 
@@ -248,7 +249,7 @@ def test_rho_checked_by_every_oracle(rho):
     spec = GapSpec(mean=np.zeros((1, 2)), cov=np.eye(2))
     for evaluate in (
         lambda: exact_e_log_miso_iid(2, rho),
-        lambda: exact_e_log_miso_corr(EigenSpectrum([2.0, 1.0]), rho),
+        lambda: exact_e_log_miso_corr([2.0, 1.0], rho),
         lambda: e_log_quadrature(2, rho),
         lambda: brute_force_gap(spec, rho, 100, 0),
     ):
@@ -267,6 +268,33 @@ def test_brute_force_checks_sample_count_and_seed(n_samples, seed, name):
 
 
 def test_corr_weight_degeneracy_guard():
-    spec = EigenSpectrum([1.0, 1.0 + 5e-12])
-    with pytest.raises(DegenerateSpectrum):
-        exact_e_log_miso_corr(spec, 1.0)
+    for lam in ([1.0, 1.0 + 5e-12], [1.0, 1.0]):
+        with pytest.raises(DomainError, match="eigenvalues too close"):
+            exact_e_log_miso_corr(lam, 1.0)
+    for lam in ([], [1.0, 0.0], [[1.0]]):
+        with pytest.raises(DomainError, match="positive eigenvalues"):
+            exact_e_log_miso_corr(lam, 1.0)
+
+
+def _imports(module):
+    """(source module, imported name) for every import in an ewsrgap module,
+    relative imports resolved to ewsrgap.*."""
+    path = Path(ewsrgap.__file__).parent / f"{module}.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            source = ("ewsrgap." if node.level else "") + (node.module or "")
+            found += [(source.rstrip("."), alias.name) for alias in node.names]
+    return found
+
+
+def test_references_share_no_code_with_the_paths_they_check():
+    # the estimators and kernels never reach for a reference ...
+    for module in ("gap", "rates", "channel", "mc"):
+        for source, name in _imports(module):
+            assert "oracle" not in source and name != "oracle", (module, source, name)
+    # ... and the references take only the GapSpec data type from gap
+    from_gap = {name for source, name in _imports("oracle") if source == "ewsrgap.gap"}
+    assert from_gap <= {"GapSpec"}

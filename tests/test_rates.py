@@ -11,10 +11,11 @@ from ewsrgap.channel import (
     uniform_power_precoders,
 )
 from ewsrgap.errors import DimensionMismatch, DomainError, UnsupportedCase
-from ewsrgap.gap import EigenSpectrum, GapSpec, gamma_inf_miso_corr
+from ewsrgap.gap import GapSpec
 from ewsrgap.mc import complex_normal
 from ewsrgap.oracle import exact_e_log_miso_iid
 from ewsrgap.rates import (
+    AUTO_METHODS,
     GAP_METHODS,
     SandwichBound,
     _term_specs,
@@ -472,7 +473,9 @@ class TestSandwichBounds:
         est = ewsr_monte_carlo(sc, ps, 100_000, 6)
         assert sb.contains(est.value)
         assert sb.lower <= sb.esei_value <= sb.upper
-        assert set(sb.method_per_user) <= {"closed-form", "taylor"}
+        # user 0's one-column interference spec is singular for N = 2
+        assert sb.per_user_gamma_kbar[0] == np.inf and sb.upper == np.inf
+        assert set(sb.method_per_user) <= {"closed-form", "unbounded", "monte-carlo-high-snr"}
 
     def test_single_cell_iid_mimo_closed_form(self):
         # uniform precoders on one i.i.d. cell give equal-eigenvalue
@@ -524,7 +527,8 @@ class TestSandwichBounds:
 
     def test_taylor_method_on_correlated_spectrum(self):
         # equal-power beams on a correlated covariance have no matching
-        # closed form for N = 2, so auto falls back to the Taylor limit
+        # closed form for N = 2; only an explicit request gets the
+        # Taylor limit, auto samples the gap instead
         rng = np.random.default_rng(6)
         A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         C = A @ A.conj().T
@@ -538,6 +542,8 @@ class TestSandwichBounds:
         sb = sandwich_bounds(sc, ps, "taylor")
         assert sb.method_per_user == ["taylor"]
         assert sb.lower <= sb.esei_value <= sb.upper
+        auto = sandwich_bounds(sc, ps, "auto", n_samples=2000, seed=1)
+        assert auto.method_per_user == ["monte-carlo-high-snr"]
 
     @pytest.mark.parametrize(
         "method, lower, upper",
@@ -565,10 +571,16 @@ class TestSandwichBounds:
                 1, 1, [1.0] * 3, 0.0, np.diag([3.0, 2.0, 1.0]), "closed-form", id="corr-miso"
             ),
             pytest.param(
-                1, 1, [1.0, 1.0 + 1e-7, 1.0 + 2e-7], 0.0, np.eye(3), "taylor",
+                1, 1, [1.0, 1.0 + 1e-7, 1.0 + 2e-7], 0.0, np.eye(3), "closed-form",
                 id="spectrum-gap-below-1e-6",
             ),
-            pytest.param(2, 2, [1.0], 0.0, np.diag([2.0, 0.0]), "taylor", id="rank-deficient-mimo"),
+            pytest.param(
+                2, 2, [1.0], 0.0, np.diag([2.0, 0.0]), "unbounded", id="rank-deficient-mimo"
+            ),
+            pytest.param(
+                2, 2, [1.0], 0.0, np.diag([2.0, 1.0]), "monte-carlo-high-snr",
+                id="correlated-mimo-skips-taylor",
+            ),
             pytest.param(
                 2, 2, [1.0], 1.0 + 0.5j, np.eye(2), "monte-carlo-high-snr", id="nonzero-mean"
             ),
@@ -595,7 +607,7 @@ class TestSandwichBounds:
         ps = PrecoderSet([np.sqrt(p) * eye[:, k * D : (k + 1) * D] for k, p in enumerate(powers)])
         kwargs = dict(n_samples=2000, seed=7)
         auto = sandwich_bounds(sc, ps, "auto", **kwargs)
-        for method in GAP_METHODS:
+        for method in AUTO_METHODS:
             try:
                 first = sandwich_bounds(sc, ps, method, **kwargs)
             except UnsupportedCase:
@@ -609,7 +621,8 @@ class TestSandwichBounds:
     def test_closed_form_drops_null_directions(self):
         # three single-stream MISO users on the antennas of a rank-2
         # covariance: every signal spec has eigenvalues {2, 1, 0}, and
-        # its limit is the correlated MISO form on {2, 1}
+        # its limit is the correlated MISO form on {2, 1},
+        # gamma - (2 ln 2 - ln 1 - ln 3) by partial fractions
         users = [UserConfig(serving_bs=0, rx_antennas=1, streams=1, rate_weight=1.0)] * 3
         cov = np.diag([0.0, 2.0, 1.0])
         sc = IbcScenario(
@@ -620,9 +633,130 @@ class TestSandwichBounds:
         )
         ps = PrecoderSet([np.eye(3, dtype=complex)[:, [k]] for k in range(3)])
         sb = sandwich_bounds(sc, ps, "closed-form")
-        want = gamma_inf_miso_corr(EigenSpectrum([2.0, 1.0]))
+        want = euler_gamma() - 2.0 * np.log(2.0) + np.log(3.0)
         assert sb.per_user_gamma_k == pytest.approx([want] * 3, rel=1e-12)
         assert sb.method_per_user == ["closed-form"] * 3
+
+    @pytest.mark.parametrize("N, M, power, r, streams, mean, tag", [
+        (4, 4, 100.0, 0.0, 1, 0.0, "unbounded"),
+        (2, 2, 1000.0, 0.0, 1, 0.0, "unbounded"),
+        (2, 4, 100.0, 0.5, 1, 0.0, "unbounded"),
+        (2, 4, 100.0, 0.5, 2, 0.0, "monte-carlo-high-snr"),
+        (4, 8, 100.0, 0.5, 2, 0.0, "unbounded"),
+        (2, 4, 100.0, 0.5, 2, 0.6 - 0.3j, "monte-carlo-high-snr"),
+    ])
+    def test_single_user_auto_sandwich_contains_monte_carlo(
+        self, N, M, power, r, streams, mean, tag
+    ):
+        # one cell, one user, uniform precoders: a single-stream spec has
+        # rank 1 < N, so its gap limit is +inf; the Taylor limit sat
+        # below the true gap on every row
+        sc = IbcScenario(
+            bs_antennas=[M],
+            users=[UserConfig(serving_bs=0, rx_antennas=N, streams=streams, rate_weight=1.0)],
+            power_budgets=[power],
+            links=[[GapSpec(mean=np.full((N, M), mean), cov=exp_profile_cov(M, r))]],
+        )
+        ps = uniform_power_precoders(sc)
+        sb = sandwich_bounds(sc, ps, "auto", n_samples=20_000, seed=3)
+        est = ewsr_monte_carlo(sc, ps, 20_000, 1)
+        assert sb.method_per_user == [tag]
+        assert sb.contains(est.value)
+
+    def test_unbounded_under_every_method(self):
+        # N = 2 on one stream: H H^H has rank 1, so E ln|H H^H| = -inf
+        sc = IbcScenario(
+            bs_antennas=[4],
+            users=[UserConfig(serving_bs=0, rx_antennas=2, streams=1, rate_weight=1.0)],
+            power_budgets=[10.0],
+            links=[[GapSpec(mean=np.zeros((2, 4)), cov=np.eye(4))]],
+        )
+        ps = uniform_power_precoders(sc)
+        for method in ("auto", *GAP_METHODS):
+            sb = sandwich_bounds(sc, ps, method, n_samples=2000, seed=0)
+            assert sb.method_per_user == ["unbounded"]
+            assert sb.per_user_gamma_k[0] == np.inf and sb.lower == -np.inf
+            assert sb.upper == sb.esei_value
+
+    def test_mean_rows_count_toward_the_span(self):
+        # one random stream plus a mean row outside it: H H^H is
+        # nonsingular almost surely, so the limit is finite
+        sc = IbcScenario(
+            bs_antennas=[2],
+            users=[UserConfig(serving_bs=0, rx_antennas=2, streams=2, rate_weight=1.0)],
+            power_budgets=[2.0],
+            links=[[GapSpec(mean=np.array([[0.0, 1.0], [0.0, 0.0]]), cov=np.diag([1.0, 0.0]))]],
+        )
+        ps = uniform_power_precoders(sc)
+        sb = sandwich_bounds(sc, ps, "auto", n_samples=20_000, seed=2)
+        assert sb.method_per_user == ["monte-carlo-high-snr"]
+        assert np.isfinite(sb.lower)
+        est = ewsr_monte_carlo(sc, ps, 20_000, 4)
+        assert sb.contains(est.value)
+
+    def test_weight_zero_user_with_unbounded_limit(self):
+        # 0 * inf must not turn the bounds into NaN
+        users = [
+            UserConfig(serving_bs=0, rx_antennas=2, streams=1, rate_weight=0.0),
+            UserConfig(serving_bs=0, rx_antennas=1, streams=1, rate_weight=1.0),
+        ]
+        sc = IbcScenario(
+            bs_antennas=[3],
+            users=users,
+            power_budgets=[4.0],
+            links=[[GapSpec(mean=np.zeros((u.rx_antennas, 3)), cov=np.eye(3))] for u in users],
+        )
+        ps = uniform_power_precoders(sc)
+        sb = sandwich_bounds(sc, ps, "auto")
+        assert sb.method_per_user == ["unbounded", "closed-form"]
+        assert sb.per_user_gamma_k[0] == np.inf
+        assert np.isfinite(sb.lower) and np.isfinite(sb.upper)
+
+    def test_clustered_forty_user_miso_contained(self):
+        # one 40-antenna cell with cov = diag(1 + 1e-3 k) serving 40 MISO
+        # users on the antenna axes: every stream spectrum is clustered,
+        # where the partial fractions lost all their digits
+        M = 40
+        users = [UserConfig(serving_bs=0, rx_antennas=1, streams=1, rate_weight=1.0)] * M
+        cov = np.diag(1.0 + 1e-3 * np.arange(M))
+        sc = IbcScenario(
+            bs_antennas=[M],
+            users=users,
+            power_budgets=[float(M)],
+            links=[[GapSpec(mean=np.zeros((1, M)), cov=cov)] for _ in users],
+        )
+        ps = PrecoderSet([np.eye(M, dtype=complex)[:, [k]] for k in range(M)])
+        sb = sandwich_bounds(sc, ps, "auto")
+        assert sb.method_per_user == ["closed-form"] * M
+        assert np.all((sb.per_user_gamma_k > 0.0) & (sb.per_user_gamma_k < 0.02))
+        est = ewsr_monte_carlo(sc, ps, 20_000, 5)
+        assert sb.contains(est.value)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_zero_mean_mimo_contained(self, seed):
+        # the criterion-9 check on users with N = 2 or 3 receive antennas
+        # on as many streams, in one cell at 10-30 dB, where no closed
+        # form applies; the Taylor limit missed 6 of these 10
+        rng = np.random.default_rng(700 + seed)
+        K, N = int(rng.integers(1, 3)), int(rng.integers(2, 4))
+        M = int(rng.integers(N * K, 7))
+        users = [
+            UserConfig(
+                serving_bs=0, rx_antennas=N, streams=N, rate_weight=float(rng.uniform(0.5, 2.0))
+            )
+            for _ in range(K)
+        ]
+        links = [
+            [GapSpec(mean=np.zeros((N, M)), cov=exp_profile_cov(M, rng.uniform(0.3, 0.8)))]
+            for _ in users
+        ]
+        power = float(10.0 ** rng.uniform(1.0, 3.0))
+        sc = IbcScenario(bs_antennas=[M], users=users, power_budgets=[power], links=links)
+        ps = uniform_power_precoders(sc)
+        sb = sandwich_bounds(sc, ps, "auto", n_samples=20_000, seed=seed)
+        est = ewsr_monte_carlo(sc, ps, 20_000, 100 + seed)
+        assert sb.method_per_user == ["monte-carlo-high-snr"] * K
+        assert sb.contains(est.value)
 
     def test_unknown_method_rejected(self):
         sc, ps = _orthogonal_two_user_miso()
