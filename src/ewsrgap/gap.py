@@ -18,6 +18,19 @@ H V = mean V + (W V) diag(sqrt(lambda)), and W V has the law of W
 because V is unitary. So it draws mean V + W diag(sqrt(lambda)),
 O(N M) per sample instead of the O(N M^2) product with the M x M root,
 and the Gram of that draw has the law of H H^H = (H V)(H V)^H.
+
+monotonicity_sweep (and so gamma_rho) walks each Monte-Carlo chunk in
+blocks of BLOCK_ENTRIES // (N M) samples: one draw from the chunk's
+generator, its Grams and its log-dets per block, written into the
+chunk's rows. A block's working set (1 MiB of draws) stays in cache,
+where a whole chunk at M = 256, N = 4 is 64 MiB. The bits do not
+change: standard_normal fills values in order from one bit generator,
+so consecutive blocks draw what one whole-chunk call would; every Gram
+and log-det is per sample; and the chunk sums run over the same
+(count, P) array. The EWSR in `rates` keeps whole-chunk draws, because
+it draws every user from one generator per chunk, users in order, so
+blocking it would change which draws a seed gives each user; its
+arrays are small at the sizes it runs.
 """
 
 from __future__ import annotations
@@ -35,8 +48,13 @@ from .special import euler_gamma, harmonic
 
 # Most entries a spec's covariance or one Monte-Carlo chunk may hold:
 # max(width * width, CHUNK_SIZE * n_rx * max(n_rx, width)), 2 GiB of
-# complex doubles.
+# complex doubles. It bounds the covariance and the EWSR's chunk draws
+# and Grams; the gap estimator draws in blocks of BLOCK_ENTRIES.
 MAX_CHUNK_ENTRIES = 2**27
+
+# Complex entries per block of gap-estimator draws: 1 MiB, which a
+# block's draw, Gram and log-dets share in cache.
+BLOCK_ENTRIES = 2**16
 
 # The error target and the strip half-width of e_log_quadform.
 QUAD_TOL = 1e-16
@@ -44,9 +62,10 @@ _STRIP = np.pi / 3.0
 
 
 def check_spec_size(n_rx: int, width: int) -> None:
-    """Reject an n_rx x width spec whose covariance, one-chunk draw or
-    Gram batch would exceed MAX_CHUNK_ENTRIES; run it before allocating
-    the spec."""
+    """Reject an n_rx x width spec whose covariance, or whose draws or
+    Gram batch over one whole EWSR chunk, would exceed
+    MAX_CHUNK_ENTRIES; run it before allocating the spec. The gap
+    estimator's blocks are far smaller."""
     entries = max(width * width, CHUNK_SIZE * n_rx * max(n_rx, width))
     if entries > MAX_CHUNK_ENTRIES:
         raise DomainError(
@@ -193,12 +212,15 @@ def monotonicity_sweep(
 
     positive = rhos > 0.0
     rho_pos = rhos[positive]
+    block = BLOCK_ENTRIES // spec.mean.size  # >= 2 under check_spec_size
 
     def evaluate(rng, count):
-        X = spec.draw(rng, count)
         vals = np.zeros((count, rhos.size))
-        if rho_pos.size:
-            vals[:, positive] = linalg.gram_log_rates(linalg.gram(X), rho_pos)
+        for start in range(0, count, block):
+            X = spec.draw(rng, min(block, count - start))
+            if rho_pos.size:
+                G = linalg.gram(X)
+                vals[start : start + len(X), positive] = linalg.gram_log_rates(G, rho_pos)
         return vals
 
     mc_mean, mc_se, diff_se = vector_stats(

@@ -18,6 +18,11 @@ from .gap import GapSpec
 from .mc import MonteCarloEstimate, check_run, complex_normal
 from .special import expn_scaled, gauss_laguerre
 
+# Relative error that exact_e_log_miso_corr guarantees to first order in
+# the unit roundoff _EPS; a spectrum it cannot meet this on is refused.
+CORR_REL_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
+
 
 def exact_e_log_miso_iid(M: int, rho: float) -> float:
     """E ln(1 + rho x) for x ~ Gamma(M, 1), i.e. x = ||h||^2 of an
@@ -55,9 +60,21 @@ def exact_e_log_miso_corr(lam, rho: float) -> float:
 
     Expands the density in partial fractions and applies the
     single-exponential identity E ln(1 + rho X) = e^{1/(rho lambda)}
-    E_1(1/(rho lambda)) per component. The weights lose their digits as
-    the positive eigenvalues lam cluster, so they must sum to 1 within
-    1e-9: a reference for separated spectra only.
+    E_1(1/(rho lambda)) per component. The weights w_i grow and lose
+    their digits as the positive eigenvalues lam cluster, so the result
+    is returned only when its first-order rounding bound,
+
+        eps sum_i |w_i f_i| (3n + sum_{l != i} 1/|1 - lambda_l/lambda_i|)
+        / |sum_i w_i f_i|,
+
+    is at most CORR_REL_TOL, and DomainError is raised otherwise: a
+    reference for separated spectra only. Here n = len(lam) and f_i =
+    e^{1/(rho lambda_i)} E_1(1/(rho lambda_i)). Each factor
+    1 - lambda_l/lambda_i of w_i magnifies the rounding of its quotient
+    by 1/|1 - lambda_l/lambda_i|, and 3n covers the other roundings in
+    w_i and f_i and the n - 1 additions. eps sum_i |w_i| alone misses
+    the weights' own rounding, which dominates on mildly clustered
+    spectra.
     """
     rho = check_nonnegative(rho, "rho")
     lam = np.asarray(lam, dtype=float)
@@ -65,14 +82,20 @@ def exact_e_log_miso_corr(lam, rho: float) -> float:
         raise DomainError("lam must be a non-empty 1-d array of positive eigenvalues")
     if rho == 0.0:
         return 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):  # caught by the sum check
-        w = partial_fraction_weights(lam)
-    total = float(np.sum(w))
-    if not abs(total - 1.0) <= 1e-9:
+    f = np.array([expn_scaled(1, 1.0 / (rho * li)) for li in lam])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # checked below
+        terms = partial_fraction_weights(lam) * f
+        value = sum(terms)
+        gaps = np.abs(1.0 - lam[None, :] / lam[:, None])
+        np.fill_diagonal(gaps, np.inf)
+        amplification = 3.0 * lam.size + np.sum(1.0 / gaps, axis=1)
+        bound = _EPS * np.sum(np.abs(terms) * amplification) / abs(value)
+    if not bound <= CORR_REL_TOL:
         raise DomainError(
-            f"partial-fraction weights sum to {total!r}; eigenvalues too close"
+            f"partial-fraction rounding bound {bound:.3g} exceeds {CORR_REL_TOL:g}; "
+            "eigenvalues too close"
         )
-    return float(sum(wi * expn_scaled(1, 1.0 / (rho * li)) for wi, li in zip(w, lam)))
+    return float(value)
 
 
 def e_log_quadrature(M: int, rho: float, n_nodes: int = 128) -> float:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from ewsrgap.channel import exp_profile_cov
 from ewsrgap import gap
 from ewsrgap.errors import DimensionMismatch, DomainError, check_integer, check_nonnegative
 from ewsrgap.gap import (
+    BLOCK_ENTRIES,
     MAX_CHUNK_ENTRIES,
     GapSpec,
     check_spec_size,
@@ -19,7 +21,7 @@ from ewsrgap.gap import (
     taylor_gamma2,
     taylor_gamma2_inf_zero_mean,
 )
-from ewsrgap.mc import chunk_stream, complex_normal
+from ewsrgap.mc import CHUNK_SIZE, chunk_stream, complex_normal, vector_stats
 from ewsrgap.oracle import brute_force_gap, exact_e_log_miso_corr, exact_e_log_miso_iid
 from ewsrgap.special import euler_gamma, expn_scaled, harmonic
 
@@ -543,3 +545,51 @@ class TestMonotonicitySweep:
         for x, y in zip(a, b):
             assert x.value == y.value and x.std_error == y.std_error
         assert np.array_equal(a.diff_std_errors, b.diff_std_errors)
+
+
+def _unblocked_sweep(spec, rhos, n_samples, seed, workers):
+    """monotonicity_sweep's values, standard errors and diff errors with
+    each chunk drawn, Gram-formed and log-det'ed in one piece."""
+    rhos = np.asarray(rhos, dtype=float)
+
+    def evaluate(rng, count):
+        return linalg.gram_log_rates(linalg.gram(spec.draw(rng, count)), rhos)
+
+    mean, se, diff_se = vector_stats(n_samples, seed, evaluate, workers=workers, track_diffs=True)
+    values = np.array([gap._esei_term(spec, r) for r in rhos]) - mean
+    return values, se, diff_se
+
+
+class TestBlockedSweep:
+    """The sweep draws each chunk in blocks of BLOCK_ENTRIES // (N M)
+    samples from the chunk's one generator; draws, per-sample rates and
+    chunk sums must equal those of a whole-chunk draw bit for bit."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GapSpec(np.zeros((4, 256)), exp_profile_cov(256)),
+            GapSpec(_mean(np.random.default_rng(32), 1, 64), exp_profile_cov(64, 0.7)),
+        ],
+        ids=["N4-M256", "N1-M64-mean"],
+    )
+    def test_bit_identical_to_whole_chunk_draws(self, spec, workers):
+        assert BLOCK_ENTRIES // spec.mean.size in (64, 1024)  # 64 and 4 blocks a chunk
+        rhos, n = [1.0, 1e3, 1e6], CHUNK_SIZE + 37
+        res = monotonicity_sweep(spec, rhos, n, 21, workers=workers)
+        values, se, diff_se = _unblocked_sweep(spec, rhos, n, 21, workers)
+        assert [e.value for e in res] == values.tolist()
+        assert [e.std_error for e in res] == se.tolist()
+        assert res.diff_std_errors.tolist() == diff_se.tolist()
+
+    def test_peak_memory_stays_in_blocks(self):
+        # a whole 8192-sample chunk set of (4, 256) draws peaks at 130 MiB
+        spec = GapSpec(np.zeros((4, 256)), exp_profile_cov(256))
+        tracemalloc.start()
+        try:
+            gamma_rho(spec, 1e3, 8192, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20

@@ -8,10 +8,12 @@ import ewsrgap
 from ewsrgap.errors import DomainError
 from ewsrgap.gap import (
     GapSpec,
+    e_log_quadform,
     gamma_inf_miso_iid,
     gamma_rho,
 )
 from ewsrgap.oracle import (
+    CORR_REL_TOL,
     bartlett_sample,
     brute_force_gap,
     e_log_quadrature,
@@ -274,6 +276,40 @@ def test_corr_weight_degeneracy_guard():
     for lam in ([], [1.0, 0.0], [[1.0]]):
         with pytest.raises(DomainError, match="positive eigenvalues"):
             exact_e_log_miso_corr(lam, 1.0)
+
+
+@pytest.mark.parametrize("seed, size", [(8, 8), (5, 4)])
+def test_corr_rounding_bound_on_clustered_spectra(seed, size):
+    # mildly clustered U(0.2, 3) spectra whose weights summed to 1 within
+    # 1e-9 while the result was off by 1.4e-11 (seed 8) and 3.4e-11
+    # (seed 5, where eps sum |w_i| is only 6.8e-13)
+    lam = np.sort(np.random.default_rng(seed).uniform(0.2, 3.0, size))[::-1]
+    for rho in (0.1, 1.0, 1e3, 1e6, 1e8):
+        try:
+            got = exact_e_log_miso_corr(lam, rho)
+        except DomainError as err:
+            assert "eigenvalues too close" in str(err)
+            continue
+        want = e_log_quadform(lam, np.zeros(size), rho)
+        assert got == pytest.approx(want, rel=CORR_REL_TOL)
+
+
+def test_corr_result_within_stated_tolerance_whenever_returned():
+    # the old weight-sum check let results off by 5.9e-10 through here
+    rng = np.random.default_rng(0)
+    returned = 0
+    for _ in range(300):
+        size = int(rng.integers(2, 9))
+        lam = np.sort(rng.uniform(0.2, 3.0, size))[::-1]
+        for rho in (1.0, 1e6):
+            try:
+                got = exact_e_log_miso_corr(lam, rho)
+            except DomainError:
+                continue
+            returned += 1
+            want = e_log_quadform(lam, np.zeros(size), rho)
+            assert got == pytest.approx(want, rel=CORR_REL_TOL)
+    assert returned > 300
 
 
 def _imports(module):
