@@ -13,7 +13,6 @@ of streams, not of antennas.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,10 @@ from .errors import (
     IndexOutOfRange,
     ParseError,
     ValidationError,
+    check_finite,
+    check_integer,
+    check_nonnegative,
+    check_positive,
 )
 from .gap import GapSpec, check_spec_size
 from .mc import complex_normal
@@ -37,18 +40,33 @@ def sample_channel(spec: GapSpec, rng: np.random.Generator) -> np.ndarray:
 
 def exp_profile_cov(M: int, r: float = 0.5) -> np.ndarray:
     """Exponential correlation profile: entry (i, j) = r^|i-j|, trace M."""
-    if not 0.0 <= r < 1.0:
+    M = check_integer(M, "M")
+    r = check_nonnegative(r, "correlation coefficient r")
+    if r >= 1.0:
         raise DomainError(f"correlation coefficient must be in [0, 1), got {r}")
-    idx = np.arange(int(M))
+    idx = np.arange(M)
     return (r ** np.abs(idx[:, None] - idx[None, :])).astype(complex)
 
 
 @dataclass
 class UserConfig:
+    """One user: its serving cell, receive antennas, streams and rate weight.
+
+    The counts must be integers (not bools), serving_bs >= 0 and the
+    others >= 1, and the weight a finite real >= 0; they are checked and
+    stored as int and float when the user is built.
+    """
+
     serving_bs: int
     rx_antennas: int
     streams: int
     rate_weight: float
+
+    def __post_init__(self):
+        self.serving_bs = check_integer(self.serving_bs, "serving_bs", 0)
+        self.rx_antennas = check_integer(self.rx_antennas, "rx_antennas")
+        self.streams = check_integer(self.streams, "streams")
+        self.rate_weight = check_nonnegative(self.rate_weight, "rate_weight")
 
 
 @dataclass
@@ -57,7 +75,10 @@ class IbcScenario:
 
     bs_antennas[j] is M_j; links[k][j] is the GapSpec of the channel
     from BS j to user k, whose mean must be rx_antennas_k x M_j. seed,
-    when set, is the file's suggested default RNG seed.
+    when set, is the file's suggested default RNG seed. Antenna counts
+    must be integers >= 1, budgets finite reals > 0 and the seed an
+    integer >= 0; they are checked and stored as int and float when the
+    scenario is built, before its structure is.
     """
 
     bs_antennas: list
@@ -67,29 +88,30 @@ class IbcScenario:
     seed: int | None = None
 
     def __post_init__(self):
+        self.bs_antennas = [
+            check_integer(M, f"bs_antennas[{j}]") for j, M in enumerate(self.bs_antennas)
+        ]
+        self.power_budgets = [
+            check_positive(P, f"power_budgets[{j}]") for j, P in enumerate(self.power_budgets)
+        ]
+        if self.seed is not None:
+            self.seed = check_integer(self.seed, "seed", 0)
         C = len(self.bs_antennas)
         if C == 0:
             raise ValidationError("scenario has no cells")
         if len(self.power_budgets) != C:
             raise ValidationError("power_budgets length differs from cell count")
-        for j, P in enumerate(self.power_budgets):
-            if not P > 0:
-                raise ValidationError(f"power budget of cell {j} must be positive")
         if len(self.users) == 0:
             raise ValidationError("scenario has no users")
         if len(self.links) != len(self.users):
             raise ValidationError("links must have one row per user")
         for k, u in enumerate(self.users):
-            if not (0 <= u.serving_bs < C):
+            if u.serving_bs >= C:
                 raise ValidationError(f"serving_bs of user {k} out of range")
-            if u.rate_weight < 0:
-                raise ValidationError(f"rate_weight of user {k} must be >= 0")
             if u.streams > u.rx_antennas:
                 raise ValidationError("streams exceed rx antennas")
             if u.streams > self.bs_antennas[u.serving_bs]:
                 raise ValidationError("streams exceed serving BS antennas")
-            if u.streams < 1:
-                raise ValidationError(f"user {k} must carry at least one stream")
             if len(self.links[k]) != C:
                 raise ValidationError(f"user {k} needs a link to every cell")
             for j, link in enumerate(self.links[k]):
@@ -115,7 +137,9 @@ class PrecoderSet:
     matrices: list
 
     def __post_init__(self):
-        self.matrices = [np.asarray(G, dtype=complex) for G in self.matrices]
+        self.matrices = [
+            check_finite(G, f"precoders[{k}]") for k, G in enumerate(self.matrices)
+        ]
 
 
 def check_precoders(scenario: IbcScenario, precoders: PrecoderSet) -> None:
@@ -130,7 +154,8 @@ def check_precoders(scenario: IbcScenario, precoders: PrecoderSet) -> None:
             raise ValidationError(
                 f"precoder of user {k} has shape {G.shape}, expected {expect}"
             )
-        used[u.serving_bs] += float(np.sum(np.abs(G) ** 2))
+        with np.errstate(over="ignore"):  # an infinite spend fails the budget below
+            used[u.serving_bs] += float(np.sum(np.abs(G) ** 2))
     for j, (spent, budget) in enumerate(zip(used, scenario.power_budgets)):
         if spent > budget + 1e-9:
             raise ValidationError(
@@ -214,24 +239,18 @@ def stream_spec(scenario: IbcScenario, precoders: PrecoderSet, k: int):
 # [re, im] pairs; a link mean of null stands for the zero matrix.
 
 
-def _integer(doc, key, field_name, low):
-    """doc[key] as an integer >= low; bools, an int subclass, are rejected."""
-    value = _require(doc, key, int, field_name)
-    if isinstance(value, bool) or value < low:
-        raise ParseError(f"expected an integer >= {low}", field=field_name)
-    return value
+def _checked(check, value, field_name, *args):
+    """check(value, "value", *args) for a validator from errors; the
+    DomainError it raises becomes a ParseError naming field_name."""
+    try:
+        return check(value, "value", *args)
+    except DomainError as exc:
+        raise ParseError(str(exc), field=field_name) from None
 
 
-def _finite(value, field_name) -> float:
-    """A JSON number as a finite float; bools, NaN and infinities are rejected."""
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            x = float(value)
-        except OverflowError:  # an integer literal beyond the float range
-            x = math.inf
-        if math.isfinite(x):
-            return x
-    raise ParseError("expected a finite number", field=field_name)
+def _field(doc, key, field_name, check, *args):
+    """doc[key], required and held to the validator check."""
+    return _checked(check, _require(doc, key, object, field_name), field_name, *args)
 
 
 def _decode_matrix(obj, field_name):
@@ -239,8 +258,8 @@ def _decode_matrix(obj, field_name):
 
     Every value must be a finite JSON number: the type check over the
     flattened values rejects bools (an int subclass) and anything that
-    is not a number; the float conversion and isfinite reject NaN, the
-    infinities and integers beyond the float range.
+    is not a number; check_finite rejects NaN, the infinities and
+    integers beyond the float range.
     """
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ParseError("matrix must be a non-empty list of rows", field=field_name)
@@ -254,11 +273,9 @@ def _decode_matrix(obj, field_name):
     if not set(map(type, values)) <= {int, float}:
         raise ParseError("expected a finite number", field=field_name)
     try:
-        flat = np.array(values, dtype=float)
-    except OverflowError:  # an integer literal beyond the float range
-        flat = None
-    if flat is None or not np.isfinite(flat).all():
-        raise ParseError("expected a finite number", field=field_name)
+        flat = check_finite(values, field_name, dtype=float)
+    except DomainError:
+        raise ParseError("expected a finite number", field=field_name) from None
     return flat.view(complex).reshape(len(obj), width)
 
 
@@ -283,14 +300,42 @@ def load_scenario(path) -> IbcScenario:
     return scenario
 
 
+def _read_json(path):
+    """The JSON document in the file at path; ParseError when the file is
+    not UTF-8, not JSON, or nested deeper than the parser's recursion limit."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
+
+
+def load_cov_file(path) -> np.ndarray:
+    """A covariance matrix from JSON: a nested list whose entries are
+    real numbers or [re, im] pairs, optionally under a 'cov_t' key."""
+    doc = _read_json(path)
+    if isinstance(doc, dict):
+        doc = doc.get("cov_t", doc.get("cov"))
+    if not isinstance(doc, list) or not doc:
+        raise ParseError("covariance file must hold a matrix", field="cov_t")
+    if not all(isinstance(row, list) and len(row) == len(doc) for row in doc):
+        raise ParseError("covariance matrix must be square", field="cov_t")
+    # Real entries become [re, 0] pairs for the scenario decoder.
+    return _decode_matrix(
+        [[e if isinstance(e, list) else [e, 0.0] for e in row] for row in doc], "cov_t"
+    )
+
+
 def load_bundle(path):
     """Load (scenario, precoders or None, seed or None) from one file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
 
@@ -299,7 +344,7 @@ def load_bundle(path):
     for j, cell in enumerate(cells):
         if not isinstance(cell, dict):
             raise ParseError("cell entries must be objects", field=f"cells[{j}]")
-        bs_antennas.append(_integer(cell, "antennas", f"cells[{j}].antennas", 1))
+        bs_antennas.append(_field(cell, "antennas", f"cells[{j}].antennas", check_integer))
 
     users_doc = _require(doc, "users", list)
     users = []
@@ -308,18 +353,19 @@ def load_bundle(path):
             raise ParseError("user entries must be objects", field=f"users[{k}]")
         users.append(
             UserConfig(
-                serving_bs=_integer(u, "serving_bs", f"users[{k}].serving_bs", 0),
-                rx_antennas=_integer(u, "rx_antennas", f"users[{k}].rx_antennas", 1),
-                streams=_integer(u, "streams", f"users[{k}].streams", 1),
-                rate_weight=_finite(
-                    _require(u, "rate_weight", object, f"users[{k}].rate_weight"),
-                    f"users[{k}].rate_weight",
+                serving_bs=_field(u, "serving_bs", f"users[{k}].serving_bs", check_integer, 0),
+                rx_antennas=_field(u, "rx_antennas", f"users[{k}].rx_antennas", check_integer),
+                streams=_field(u, "streams", f"users[{k}].streams", check_integer),
+                rate_weight=_field(
+                    u, "rate_weight", f"users[{k}].rate_weight", check_nonnegative
                 ),
             )
         )
 
     budgets_doc = _require(doc, "power_budgets", list)
-    budgets = [_finite(P, f"power_budgets[{j}]") for j, P in enumerate(budgets_doc)]
+    budgets = [
+        _checked(check_positive, P, f"power_budgets[{j}]") for j, P in enumerate(budgets_doc)
+    ]
 
     links_doc = _require(doc, "links", list)
     links = []
@@ -349,7 +395,9 @@ def load_bundle(path):
                 raise ValidationError(f"link ({k},{j}) invalid: {exc}") from exc
         links.append(link_row)
 
-    seed = _integer(doc, "seed", "seed", 0) if doc.get("seed") is not None else None
+    seed = doc.get("seed")
+    if seed is not None:
+        seed = _checked(check_integer, seed, "seed", 0)
 
     scenario = IbcScenario(
         bs_antennas=bs_antennas,

@@ -24,7 +24,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -33,13 +32,22 @@ import numpy as np
 
 from . import __version__
 from .channel import (
-    _decode_matrix,
     exp_profile_cov,
     load_bundle,
+    load_cov_file,
     load_demo_bundle,
     uniform_power_precoders,
 )
-from .errors import EwsrgapError, ParseError, UnsupportedCase, ValidationError
+from .errors import (
+    DomainError,
+    EwsrgapError,
+    UnsupportedCase,
+    ValidationError,
+    check_finite,
+    check_integer,
+    check_nonnegative,
+    check_positive,
+)
 from .gap import (
     GapSpec,
     check_spec_size,
@@ -55,69 +63,50 @@ from .verify import run_suite
 _LN2 = float(np.log(2.0))
 
 
-def _parse_int_list(text: str):
-    try:
-        values = [int(t) for t in text.split(",") if t.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("antenna counts must be positive integers")
-    return values
+def _checked(parse, check, *args):
+    """argparse type: the text parsed by `parse` (int or float), then held
+    to the validator `check` from errors; argparse names the flag."""
 
-
-def _at_least(kind, low):
-    """argparse type: a finite `kind` (int or float) no smaller than `low`."""
-
-    def parse(text: str):
+    def convert(text: str):
         try:
-            value = kind(text)
+            value = parse(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}")
-        if not low <= value < math.inf:  # also false for NaN
-            raise argparse.ArgumentTypeError(f"must be finite and >= {low}, got {text}")
-        return value
+            raise argparse.ArgumentTypeError(f"expected {parse.__name__}, got {text!r}")
+        try:
+            return check(value, "value", *args)
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
 
-    return parse
+    return convert
+
+
+_count = _checked(int, check_integer)
+_seed = _checked(int, check_integer, 0)
+_nonnegative = _checked(float, check_nonnegative)
+
+
+def _parse_int_list(text: str):
+    """Comma-separated integers >= 1, at least one."""
+    values = [_count(t) for t in text.split(",") if t.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def _parse_grid(text: str) -> np.ndarray:
     """Either 'start:stop:step' (inclusive of stop) or a comma list."""
     try:
         if ":" in text:
-            parts = [float(t) for t in text.split(":")]
-            if len(parts) != 3 or parts[2] <= 0:
-                raise ValueError
-            start, stop, step = parts
+            start, stop, step = (float(t) for t in text.split(":"))
+            step = check_positive(step, "step")
             grid = np.arange(start, stop + step / 2, step)
         else:
             grid = np.array([float(t) for t in text.split(",") if t.strip()])
-        if not np.isfinite(grid).all():
-            raise ValueError
-        return grid
-    except ValueError:
+        return check_finite(grid, "grid", dtype=float)
+    except ValueError:  # DomainError included
         raise argparse.ArgumentTypeError(
             f"expected 'start:stop:step' or comma-separated numbers, got {text!r}"
         )
-
-
-def _load_cov_file(path) -> np.ndarray:
-    """A covariance matrix from JSON: a nested list whose entries are
-    real numbers or [re, im] pairs, optionally under a 'cov_t' key."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
-    if isinstance(doc, dict):
-        doc = doc.get("cov_t", doc.get("cov"))
-    if not isinstance(doc, list) or not doc:
-        raise ParseError("covariance file must hold a matrix", field="cov_t")
-    if not all(isinstance(row, list) and len(row) == len(doc) for row in doc):
-        raise ParseError("covariance matrix must be square", field="cov_t")
-    # Real entries become [re, 0] pairs for the scenario decoder.
-    return _decode_matrix(
-        [[e if isinstance(e, list) else [e, 0.0] for e in row] for row in doc], "cov_t"
-    )
 
 
 def _fmt(v) -> str:
@@ -202,7 +191,7 @@ def cmd_fig2(args) -> int:
     scale = 1.0 / _LN2 if args.bits else 1.0
     for M in args.tx_antennas:  # before any covariance, mean or draw is allocated
         check_spec_size(args.rx_antennas, M)
-    cov = _load_cov_file(args.cov) if args.cov else None
+    cov = load_cov_file(args.cov) if args.cov else None
     rows = []
     for M in args.tx_antennas:
         C = cov if cov is not None else exp_profile_cov(M)
@@ -343,7 +332,7 @@ def _add_common(sub, samples_default: int):
                      help="write CSV here instead of stdout")
     sub.add_argument("--bits", action="store_true",
                      help="report rates in bits (log base 2) instead of nats")
-    sub.add_argument("--workers", type=_at_least(int, 1), default=1,
+    sub.add_argument("--workers", type=_count, default=1,
                      help="thread count for Monte-Carlo chunks (results identical)")
 
 
@@ -358,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     f1 = sub.add_parser("fig1", help="gap vs SNR for zero-mean i.i.d. MISO")
     _add_common(f1, 20_000)
-    f1.add_argument("--seed", type=_at_least(int, 0), default=0)
+    f1.add_argument("--seed", type=_seed, default=0)
     f1.add_argument("--snr-db", type=_parse_grid, default=np.arange(-10.0, 51.0, 2.0),
                     metavar="GRID", help="'start:stop:step' or comma list; write "
                     "--snr-db=-10:50:2 when the start is negative (default -10:50:2)")
@@ -368,18 +357,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     f2 = sub.add_parser("fig2", help="second-order approximation vs Monte-Carlo gap")
     _add_common(f2, 20_000)
-    f2.add_argument("--seed", type=_at_least(int, 0), default=0)
+    f2.add_argument("--seed", type=_seed, default=0)
     f2.add_argument("--tx-antennas", type=_parse_int_list, default=[8, 16, 32, 64],
                     metavar="LIST", help="comma-separated antenna counts")
-    f2.add_argument("--rx-antennas", type=_at_least(int, 1), default=4)
-    f2.add_argument("--rho", type=_at_least(float, 0.0), default=1000.0)
+    f2.add_argument("--rx-antennas", type=_count, default=4)
+    f2.add_argument("--rho", type=_nonnegative, default=1000.0)
     f2.add_argument("--cov", default=None, metavar="PATH",
                     help="JSON covariance matrix (default: exponential profile r=0.5)")
     f2.set_defaults(func=cmd_fig2)
 
     sw = sub.add_parser("sandwich", help="surrogate +/- gap-limit bounds for a scenario")
     _add_common(sw, 50_000)
-    sw.add_argument("--seed", type=_at_least(int, 0), default=None,
+    sw.add_argument("--seed", type=_seed, default=None,
                     help="overrides a seed stored in the scenario file")
     sw.add_argument("--scenario", default=None, metavar="PATH",
                     help="scenario JSON (default: bundled 2-cell 4-user demo)")
@@ -393,12 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     vf = sub.add_parser("verify", help="run property suites")
     vf.add_argument("suite", choices=["theorems", "oracles", "all"])
-    vf.add_argument("--seed", type=_at_least(int, 0), default=0)
-    vf.add_argument("--scale", type=_at_least(float, 0.0), default=1.0,
+    vf.add_argument("--seed", type=_seed, default=0)
+    vf.add_argument("--scale", type=_nonnegative, default=1.0,
                     help="multiplier on per-check sample counts")
     vf.add_argument("--out", default=None, metavar="PATH",
                     help="also write the rows as CSV")
-    vf.add_argument("--workers", type=_at_least(int, 1), default=1)
+    vf.add_argument("--workers", type=_count, default=1)
     vf.set_defaults(func=cmd_verify)
     return p
 
@@ -414,12 +403,9 @@ def main(argv=None) -> int:
     except UnsupportedCase as exc:
         print(f"error: {exc} (use --method auto for automatic fallback)", file=sys.stderr)
         return 2
-    except (EwsrgapError, FileNotFoundError, IsADirectoryError) as exc:
+    except (EwsrgapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def entrypoint() -> None:

@@ -3,13 +3,19 @@
 Every error raised on purpose by this package is one of the classes
 below. All of them derive from EwsrgapError, so callers can catch the
 whole package at once, by family (ValueError / IndexError /
-RuntimeError) or by exact type. check_integer and check_nonnegative
-are the one validators of integer and real arguments outside the
-scenario loader and the CLI.
+RuntimeError) or by exact type.
+
+The check_* functions below are the one definition of what an integer,
+a finite real and a finite array argument is. The scenario types, the
+scenario loader, the CLI and every numerical entry point call them; the
+loader and the CLI only add the JSON field or the flag name.
 """
 
 import math
 import numbers
+import reprlib
+
+import numpy as np
 
 
 class EwsrgapError(Exception):
@@ -74,8 +80,19 @@ def check_integer(value, name: str, low: int = 1) -> int:
     numpy integers count as integers; bools, an int subclass, do not.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+        raise DomainError(f"{name} must be an integer >= {low}, got {reprlib.repr(value)}")
     return int(value)
+
+
+def _as_real(value) -> float:
+    """value as a float when it is a real number (not a bool), else NaN;
+    an int beyond the float range becomes inf."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 def check_nonnegative(value, name: str) -> float:
@@ -83,11 +100,31 @@ def check_nonnegative(value, name: str) -> float:
 
     numpy reals count as reals; bools and NaN do not.
     """
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    try:
-        x = float(value) if real else math.nan
-    except OverflowError:  # an int beyond the float range
-        x = math.inf
+    x = _as_real(value)
     if not 0.0 <= x < math.inf:  # also false for NaN
-        raise DomainError(f"{name} must be a finite real number >= 0, got {value!r}")
+        raise DomainError(f"{name} must be a finite real number >= 0, got {reprlib.repr(value)}")
     return x
+
+
+def check_positive(value, name: str) -> float:
+    """value as a float when it is a finite real number > 0, else DomainError."""
+    x = _as_real(value)
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} must be a finite real number > 0, got {reprlib.repr(value)}")
+    return x
+
+
+def check_finite(value, name: str, dtype=complex) -> np.ndarray:
+    """value as an array of dtype when it holds numbers, all finite, else DomainError.
+
+    As for the scalar rules, bools are not numbers; nor is anything numpy
+    can only hold as objects or strings, such as None, ragged lists or
+    integers too large for any numpy integer or float type.
+    """
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError, OverflowError):  # e.g. ragged nesting
+        a = None
+    if a is None or a.dtype.kind not in "iufc" or not np.isfinite(a).all():
+        raise DomainError(f"{name} has non-finite or non-numeric entries")
+    return a.astype(dtype, copy=False)

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, DomainError
-from .errors import check_integer, check_nonnegative
+from .errors import check_finite, check_integer, check_nonnegative
 from .mc import CHUNK_SIZE, MonteCarloEstimate, check_run, complex_normal, vector_stats
 from .special import euler_gamma, harmonic
 
@@ -80,18 +80,19 @@ class GapSpec:
 
     mean is N x M complex (may be zero; a 1-d mean is one row); cov is
     M x M Hermitian PSD, the transmit-side covariance of the
-    perturbation. It describes a scenario's links as well as the
-    effective channels whose Gram-log-det gap is studied. ``spectrum``
-    is the one eigendecomposition of cov; the square root and the
-    eigenbasis sampler ``draw`` both come from it.
+    perturbation; both must hold finite numbers. It describes a
+    scenario's links as well as the effective channels whose
+    Gram-log-det gap is studied. ``spectrum`` is the one
+    eigendecomposition of cov; the square root and the eigenbasis
+    sampler ``draw`` both come from it.
     """
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        self.mean = np.atleast_2d(np.asarray(self.mean, dtype=complex))
-        self.cov = np.asarray(self.cov, dtype=complex)
+        self.mean = np.atleast_2d(check_finite(self.mean, "mean"))
+        self.cov = check_finite(self.cov, "cov")
         if self.mean.ndim != 2:
             raise DimensionMismatch(f"mean must be 1-d or 2-d, got shape {self.mean.shape}")
         check_spec_size(*self.mean.shape)

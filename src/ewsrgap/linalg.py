@@ -16,11 +16,11 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    DomainError,
     IndefiniteMatrix,
     NoConvergence,
     NotHermitian,
     NotPositiveDefinite,
+    check_finite,
 )
 
 # Relative tolerances for Hermitian deviation and PSD eigenvalue clamping.
@@ -36,8 +36,7 @@ def _as_square(A) -> np.ndarray:
 
 
 def _check_hermitian(A: np.ndarray) -> np.ndarray:
-    if not np.isfinite(A).all():
-        raise DomainError("matrix has non-finite entries")
+    check_finite(A, "matrix")
     scale = np.max(np.abs(A)) if A.size else 0.0
     with np.errstate(over="ignore"):  # an overflowing deviation is not Hermitian
         dev = np.max(np.abs(A - A.conj().T)) if A.size else 0.0

@@ -324,8 +324,9 @@ def sandwich_bounds(
     the signal and the interference terms, the same specs the ESEI uses.
     n_samples/seed/workers only matter when a Monte-Carlo gap limit is
     needed (multi-antenna specs without a closed form in auto mode, or
-    when requested).
+    when requested), but they are checked by mc.check_run in any case.
     """
+    n_samples, seed, workers = check_run(n_samples, seed, workers)
     esei = esei_wsr(scenario, precoders)
     gammas_k, gammas_kbar, methods = [], [], []
     for k, (sig, intf) in enumerate(_term_specs(scenario, precoders)):

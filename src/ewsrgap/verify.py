@@ -20,7 +20,7 @@ from .channel import (
     load_demo_bundle,
     uniform_power_precoders,
 )
-from .errors import DomainError, check_nonnegative
+from .errors import DomainError, check_integer, check_nonnegative
 from .gap import (
     GapSpec,
     e_log_quadform,
@@ -66,10 +66,11 @@ def random_zero_mean_scenario(seed: int, n_cells=None, n_users=None):
 
     Users are MISO (one receive antenna, one stream), so every sandwich
     gap limit is exact, by gap.e_log_quadform on any stream spectrum.
+    n_cells and n_users are integers >= 1, or None for a random count.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    C = int(n_cells) if n_cells else int(rng.integers(1, 3))
-    K = int(n_users) if n_users else int(rng.integers(2, 5))
+    C = check_integer(n_cells, "n_cells") if n_cells is not None else int(rng.integers(1, 3))
+    K = check_integer(n_users, "n_users") if n_users is not None else int(rng.integers(2, 5))
     bs_antennas = [int(rng.integers(2, 5)) for _ in range(C)]
     serving = [j % C for j in range(K)]
     rng.shuffle(serving)

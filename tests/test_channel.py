@@ -9,6 +9,7 @@ from ewsrgap.channel import (
     UserConfig,
     exp_profile_cov,
     load_bundle,
+    load_cov_file,
     load_demo_bundle,
     load_scenario,
     sample_channel,
@@ -19,6 +20,7 @@ from ewsrgap.channel import (
 from ewsrgap.errors import (
     DimensionMismatch,
     DomainError,
+    EwsrgapError,
     IndexOutOfRange,
     ParseError,
     ValidationError,
@@ -103,6 +105,12 @@ class TestExpProfileCov:
         with pytest.raises(DomainError):
             exp_profile_cov(4, r)
 
+    @pytest.mark.parametrize("M", [True, 2.7, 0, -1, "4"])
+    def test_rejects_non_integer_size(self, M):
+        # not a 1 x 1, 2 x 2 or 0 x 0 matrix
+        with pytest.raises(DomainError, match="M must be an integer >= 1"):
+            exp_profile_cov(M)
+
 
 def _two_user_one_cell(rng, M=3):
     users = [
@@ -146,6 +154,58 @@ class TestScenarioValidation:
 
         with pytest.raises(ValidationError, match="budget"):
             check_precoders(sc, ps)
+
+
+def _one_user_scenario(bs_antennas=2, power_budget=1.0, seed=None, user=None):
+    user = user or UserConfig(serving_bs=0, rx_antennas=1, streams=1, rate_weight=1.0)
+    return IbcScenario(
+        bs_antennas=[bs_antennas],
+        users=[user],
+        power_budgets=[power_budget],
+        links=[[GapSpec(mean=np.zeros((1, 2)), cov=np.eye(2))]],
+        seed=seed,
+    )
+
+
+class TestValuesCheckedWhenBuilt:
+    # each is rejected when built, not later as a NaN surrogate, a bare
+    # TypeError or an overflow warning
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: UserConfig(0, 1, 1, float("nan")), "rate_weight"),
+            (lambda: UserConfig(0, 1, 1, -0.5), "rate_weight"),
+            (lambda: UserConfig(0, True, 1, 1.0), "rx_antennas"),
+            (lambda: UserConfig(False, 1, 1, 1.0), "serving_bs"),
+            (lambda: UserConfig(0, 1, 1.0, 1.0), "streams"),
+            (lambda: UserConfig(0, 1, 0, 1.0), "streams"),
+            (lambda: _one_user_scenario(bs_antennas=2.0), r"bs_antennas\[0\]"),
+            (lambda: _one_user_scenario(power_budget=float("inf")), r"power_budgets\[0\]"),
+            (lambda: _one_user_scenario(power_budget=0.0), r"power_budgets\[0\]"),
+            (lambda: _one_user_scenario(seed=True), "seed"),
+            (lambda: _one_user_scenario(seed=-1), "seed"),
+            (lambda: GapSpec(mean=[[float("nan"), 0.0]], cov=np.eye(2)), "mean"),
+            (lambda: GapSpec(mean=np.zeros((1, 2)), cov="eye"), "cov"),
+            (lambda: PrecoderSet([[float("nan")], [0.0]]), r"precoders\[0\]"),
+            (lambda: PrecoderSet([np.eye(2), None]), r"precoders\[1\]"),
+        ],
+        ids=["nan-weight", "negative-weight", "bool-rx", "bool-serving", "float-streams",
+             "no-streams", "float-antennas", "inf-budget", "zero-budget", "bool-seed",
+             "negative-seed", "nan-mean", "string-cov", "nan-precoder", "none-precoder"],
+    )
+    def test_rejected_naming_the_field(self, build, field):
+        with pytest.raises(EwsrgapError, match=field):
+            build()
+
+    def test_values_normalised_to_plain_types(self):
+        user = UserConfig(np.int64(0), np.int64(1), 1, np.float32(0.5))
+        sc = _one_user_scenario(bs_antennas=np.int64(2), power_budget=3, seed=np.int64(4),
+                                user=user)
+        assert (user.serving_bs, user.rx_antennas, user.rate_weight) == (0, 1, 0.5)
+        assert type(user.serving_bs) is int and type(user.rate_weight) is float
+        assert sc.bs_antennas == [2] and type(sc.bs_antennas[0]) is int
+        assert sc.power_budgets == [3.0] and type(sc.power_budgets[0]) is float
+        assert sc.seed == 4 and type(sc.seed) is int
 
 
 class TestUniformPrecoders:
@@ -451,6 +511,28 @@ class TestScenarioJson:
         with pytest.raises(ParseError) as exc:
             load_bundle(p)
         assert exc.value.field == field
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"cells": "\xff"}', "not UTF-8"),
+            (b"[" * 200_000 + b"]" * 200_000, "nested too deeply"),
+            (b'{"cov_t": ' + b"[" * 200_000, "nested too deeply"),
+        ],
+        ids=["not-utf8", "deeply-nested", "deeply-nested-unclosed"],
+    )
+    @pytest.mark.parametrize("load", [load_bundle, load_cov_file])
+    def test_unreadable_json_is_a_parse_error(self, tmp_path, load, content, message):
+        # a ParseError, not a UnicodeDecodeError or RecursionError
+        p = tmp_path / "bad.json"
+        p.write_bytes(content)
+        with pytest.raises(ParseError, match=message):
+            load(p)
+
+    def test_cov_file_entries_real_or_pairs(self, tmp_path):
+        p = tmp_path / "cov.json"
+        p.write_text(json.dumps({"cov_t": [[2, [0.5, -1.0]], [[0.5, 1.0], 1.0]]}))
+        assert np.array_equal(load_cov_file(p), np.array([[2, 0.5 - 1j], [0.5 + 1j, 1]]))
 
     def test_huge_rx_antennas_rejected_before_allocation(self, tmp_path):
         # loaded, its first chunk would draw 4096 x 100000 x 100000 entries

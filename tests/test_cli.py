@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from ewsrgap.channel import (
     IbcScenario,
+    PrecoderSet,
     UserConfig,
     load_bundle,
     save_scenario,
@@ -23,6 +24,7 @@ from ewsrgap.channel import (
 from ewsrgap.cli import main
 from ewsrgap.errors import EwsrgapError
 from ewsrgap.gap import GapSpec, gamma_inf_miso_iid
+from ewsrgap.rates import esei_wsr
 
 LN2 = float(np.log(2.0))
 
@@ -389,6 +391,36 @@ class TestUsageErrors:
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"cells": "\xff"}', b"[" * 200_000 + b"]" * 200_000],
+        ids=["not-utf8", "deeply-nested"],
+    )
+    @pytest.mark.parametrize("flag", ["sandwich --scenario", "fig2 --cov"])
+    def test_unreadable_json_is_one_line_usage_error(self, tmp_path, capsys, flag, content):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        code = main([*flag.split(), str(path), "--samples", "100",
+                     "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["sandwich --scenario", "fig2 --cov"])
+    def test_unreadable_file_is_one_line_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                     flag):
+        # exit 1 means a failed property, so an OSError exits 2 like any input error
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr("ewsrgap.channel.open", denied, raising=False)
+        code = main([*flag.split(), str(tmp_path / "input.json"), "--samples", "100",
+                     "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Permission denied" in err
+        assert err.count("\n") == 1
+
     def test_version_exits_cleanly(self, capsys):
         assert main(["--version"]) == 0
         assert "ewsrgap" in capsys.readouterr().out
@@ -478,3 +510,42 @@ def test_mutated_demo_loads_or_fails_typed(mutations):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
+# Where a value enters each type: (type, argument), the argument being
+# the first entry of the list for a list argument.
+ENTRY_SITES = [
+    ("user", "serving_bs"), ("user", "rx_antennas"), ("user", "streams"),
+    ("user", "rate_weight"), ("scenario", "bs_antennas"), ("scenario", "power_budgets"),
+    ("scenario", "seed"), ("spec", "mean"), ("spec", "cov"), ("precoders", "matrices"),
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(ENTRY_SITES), st.sampled_from([v for v in NASTY if v is not DELETE]))
+def test_types_built_from_nasty_values_check_them(site, value):
+    # each type either takes the value or raises a typed error when it is
+    # built, never a TypeError later; a scenario that builds never has a
+    # NaN surrogate
+    args = {
+        "user": {"serving_bs": 0, "rx_antennas": 1, "streams": 1, "rate_weight": 1.0},
+        "scenario": {"bs_antennas": [2], "power_budgets": [1.0], "seed": None},
+        "spec": {"mean": np.zeros((1, 2)), "cov": np.eye(2)},
+        "precoders": {"matrices": [np.full((2, 1), 0.5)]},
+    }
+    kind, name = site
+    args[kind][name] = [value] if isinstance(args[kind][name], list) else value
+    try:
+        scenario = IbcScenario(
+            users=[UserConfig(**args["user"])],
+            links=[[GapSpec(**args["spec"])]],
+            **args["scenario"],
+        )
+        precoders = PrecoderSet(**args["precoders"])
+    except EwsrgapError:
+        return
+    try:
+        surrogate = esei_wsr(scenario, precoders)
+    except EwsrgapError:
+        return
+    assert not np.isnan(surrogate)

@@ -7,7 +7,14 @@ import pytest
 from ewsrgap import linalg
 from ewsrgap.channel import exp_profile_cov
 from ewsrgap import gap
-from ewsrgap.errors import DimensionMismatch, DomainError, check_integer, check_nonnegative
+from ewsrgap.errors import (
+    DimensionMismatch,
+    DomainError,
+    check_finite,
+    check_integer,
+    check_nonnegative,
+    check_positive,
+)
 from ewsrgap.gap import (
     BLOCK_ENTRIES,
     MAX_CHUNK_ENTRIES,
@@ -119,6 +126,27 @@ def test_check_nonnegative():
     for bad in (-1e-300, np.nan, np.inf, 10**400, True, np.bool_(True), "1", None, 1j):
         with pytest.raises(DomainError, match="rho must be a finite real number >= 0"):
             check_nonnegative(bad, "rho")
+
+
+def test_check_positive():
+    for good in (1e-300, 2, np.float64(0.5), 1e308):
+        value = check_positive(good, "budget")
+        assert value == good and type(value) is float
+    for bad in (0, 0.0, -1.0, np.nan, np.inf, 10**400, True, "1", None):
+        with pytest.raises(DomainError, match="budget must be a finite real number > 0"):
+            check_positive(bad, "budget")
+
+
+def test_check_finite():
+    got = check_finite([[1, 2.5]], "mean")
+    assert got.dtype == complex and np.array_equal(got, [[1, 2.5]])
+    arr = np.ones(3, dtype=complex)
+    assert check_finite(arr, "x") is arr  # no copy when the dtype matches
+    assert check_finite([1, 2], "x", dtype=float).dtype == float
+    for bad in ([1.0, np.nan], [[np.inf]], [1j * np.inf], None, "1", [True], {}, [[1], [1, 2]],
+                [1.0, 10**400]):
+        with pytest.raises(DomainError, match="x has non-finite or non-numeric entries"):
+            check_finite(bad, "x")
 
 
 @pytest.mark.parametrize("rho", [np.nan, np.inf, True])

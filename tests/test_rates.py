@@ -444,6 +444,22 @@ class TestEseiWsr:
 
 
 class TestSandwichBounds:
+    @pytest.mark.parametrize(
+        "run, name",
+        [
+            ({"n_samples": -5}, "n_samples"),
+            ({"n_samples": True}, "n_samples"),
+            ({"seed": -1}, "seed"),
+            ({"seed": 1.5}, "seed"),
+            ({"workers": 0}, "workers"),
+        ],
+    )
+    def test_run_arguments_checked_up_front(self, run, name):
+        # every limit on the demo is closed-form, so no later check sees these
+        sc, ps, _ = load_demo_bundle()
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            sandwich_bounds(sc, ps, **run)
+
     def test_deterministic_channel_collapses(self):
         sc, ps = _orthogonal_two_user_miso()
         sb = sandwich_bounds(sc, ps)
