@@ -33,7 +33,6 @@ from .errors import (
     IndexOutOfRange,
     NoConvergence,
     NotHermitian,
-    NotPositiveDefinite,
     ParseError,
     UnsupportedCase,
     ValidationError,
@@ -53,7 +52,6 @@ from .linalg import (
     HermitianSpectrum,
     hermitian_eig,
     hermitian_sqrt,
-    logdet_hpd,
 )
 from .mc import MonteCarloEstimate, chunk_stream, complex_normal, vector_stats
 from .oracle import (
@@ -104,7 +102,6 @@ __all__ = [
     "IndexOutOfRange",
     "NoConvergence",
     "NotHermitian",
-    "NotPositiveDefinite",
     "ParseError",
     "UnsupportedCase",
     "ValidationError",
@@ -120,7 +117,6 @@ __all__ = [
     "HermitianSpectrum",
     "hermitian_eig",
     "hermitian_sqrt",
-    "logdet_hpd",
     "MonteCarloEstimate",
     "chunk_stream",
     "complex_normal",

@@ -25,6 +25,7 @@ from .errors import (
     ValidationError,
     check_finite,
     check_integer,
+    check_list,
     check_nonnegative,
     check_positive,
 )
@@ -75,10 +76,12 @@ class IbcScenario:
 
     bs_antennas[j] is M_j; links[k][j] is the GapSpec of the channel
     from BS j to user k, whose mean must be rx_antennas_k x M_j. seed,
-    when set, is the file's suggested default RNG seed. Antenna counts
-    must be integers >= 1, budgets finite reals > 0 and the seed an
-    integer >= 0; they are checked and stored as int and float when the
-    scenario is built, before its structure is.
+    when set, is the file's suggested default RNG seed. The four list
+    arguments must be lists (or tuples), users of UserConfig and each
+    row of links of GapSpec; antenna counts must be integers >= 1,
+    budgets finite reals > 0 and the seed an integer >= 0. They are
+    checked and stored as lists, int and float when the scenario is
+    built, before its structure is.
     """
 
     bs_antennas: list
@@ -89,10 +92,17 @@ class IbcScenario:
 
     def __post_init__(self):
         self.bs_antennas = [
-            check_integer(M, f"bs_antennas[{j}]") for j, M in enumerate(self.bs_antennas)
+            check_integer(M, f"bs_antennas[{j}]")
+            for j, M in enumerate(check_list(self.bs_antennas, "bs_antennas"))
         ]
         self.power_budgets = [
-            check_positive(P, f"power_budgets[{j}]") for j, P in enumerate(self.power_budgets)
+            check_positive(P, f"power_budgets[{j}]")
+            for j, P in enumerate(check_list(self.power_budgets, "power_budgets"))
+        ]
+        self.users = check_list(self.users, "users", UserConfig)
+        self.links = [
+            check_list(row, f"links[{k}]", GapSpec)
+            for k, row in enumerate(check_list(self.links, "links"))
         ]
         if self.seed is not None:
             self.seed = check_integer(self.seed, "seed", 0)
@@ -132,13 +142,14 @@ class IbcScenario:
 
 @dataclass
 class PrecoderSet:
-    """Per-user beamformer matrices G_k of shape M_{b_k} x d_k."""
+    """Per-user beamformer matrices G_k of shape M_{b_k} x d_k, a list."""
 
     matrices: list
 
     def __post_init__(self):
         self.matrices = [
-            check_finite(G, f"precoders[{k}]") for k, G in enumerate(self.matrices)
+            check_finite(G, f"precoders[{k}]")
+            for k, G in enumerate(check_list(self.matrices, "precoders"))
         ]
 
 
@@ -209,8 +220,10 @@ def stream_spec(scenario: IbcScenario, precoders: PrecoderSet, k: int):
     with mean [m_kj G_j]_j and covariance blkdiag(G_j^H C_kj G_j), over
     the cells that serve someone. F F^H = sum_j H_kj Q_j H_kj^H is user
     k's signal Gram. Returns (spec, own), own being the slice of user
-    k's own streams among the spec's columns.
+    k's own streams among the spec's columns. k must be an integer, not
+    a bool (DomainError), and in range (IndexOutOfRange).
     """
+    k = check_integer(k, "user index", None)
     if not (0 <= k < scenario.n_users):
         raise IndexOutOfRange(f"user index {k} out of range")
     check_precoders(scenario, precoders)

@@ -6,9 +6,10 @@ whole package at once, by family (ValueError / IndexError /
 RuntimeError) or by exact type.
 
 The check_* functions below are the one definition of what an integer,
-a finite real and a finite array argument is. The scenario types, the
-scenario loader, the CLI and every numerical entry point call them; the
-loader and the CLI only add the JSON field or the flag name.
+a finite real, a finite array and a list argument is. The scenario
+types, the scenario loader, the CLI and every numerical entry point
+call them; the loader and the CLI only add the JSON field or the flag
+name.
 """
 
 import math
@@ -32,10 +33,6 @@ class DimensionMismatch(DomainError):
 
 class NotHermitian(EwsrgapError, ValueError):
     """Input matrix deviates from its conjugate transpose beyond tolerance."""
-
-
-class NotPositiveDefinite(EwsrgapError, ValueError):
-    """A Hermitian matrix has a nonpositive pivot where HPD is required."""
 
 
 class IndefiniteMatrix(EwsrgapError, ValueError):
@@ -74,14 +71,31 @@ class IndexOutOfRange(EwsrgapError, IndexError):
     """A user or cell index is outside the scenario's range."""
 
 
-def check_integer(value, name: str, low: int = 1) -> int:
-    """value as an int when it is an integer >= low, else DomainError.
+def check_integer(value, name: str, low: int | None = 1) -> int:
+    """value as an int when it is an integer >= low (any integer when low
+    is None), else DomainError.
 
     numpy integers count as integers; bools, an int subclass, do not.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise DomainError(f"{name} must be an integer >= {low}, got {reprlib.repr(value)}")
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or (low is not None and value < low)
+    ):
+        bound = "" if low is None else f" >= {low}"
+        raise DomainError(f"{name} must be an integer{bound}, got {reprlib.repr(value)}")
     return int(value)
+
+
+def check_list(value, name: str, kind=object) -> list:
+    """value as a list when it is a list or tuple whose entries are all
+    instances of kind, else DomainError naming the argument or the entry."""
+    if not isinstance(value, (list, tuple)):
+        raise DomainError(f"{name} must be a list, got {reprlib.repr(value)}")
+    for i, item in enumerate(value):
+        if not isinstance(item, kind):
+            raise DomainError(f"{name}[{i}] must be a {kind.__name__}, got {reprlib.repr(item)}")
+    return list(value)
 
 
 def _as_real(value) -> float:

@@ -6,8 +6,10 @@ For an effective channel distributed as H = mean + W sqrt(cov), the gap
 
 is nonnegative (Jensen) and monotonically increasing in rho, so its
 infinite-SNR value bounds it everywhere. This module provides the
-Monte-Carlo estimator of Gamma(rho), the closed-form infinite-SNR
-limits for zero-mean i.i.d. MISO/MIMO channels, the second-order
+Monte-Carlo estimator of Gamma(rho) for rho from 0 to +inf (both of
+its log-dets, expected and sampled, taken by linalg.gram_log_rates),
+the closed-form infinite-SNR limits for zero-mean i.i.d. MISO/MIMO
+channels, the second-order
 approximation Gamma_2, and e_log_quadform: exact quadrature of
 E ln(1 + rho x) for a single-antenna spec with any mean and spectrum.
 
@@ -35,6 +37,7 @@ arrays are small at the sizes it runs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -124,6 +127,15 @@ class GapSpec:
             X += self.mean @ self.spectrum.eigenvectors
         return X
 
+    @cached_property
+    def gram_rank(self) -> int:
+        """Dimension of the span of the mean's rows and the range of cov, the
+        almost-sure rank of H H^H, with singular values cut at 1e-9 in power."""
+        spectrum = self.spectrum
+        rows = np.vstack([self.mean @ spectrum.eigenvectors, np.diag(spectrum.roots())])
+        sv = np.linalg.svd(rows, compute_uv=False)
+        return int(np.sum(sv * sv > 1e-9 * sv[0] ** 2))
+
     @property
     def nonzero_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of cov above 1e-9 times the largest, descending:
@@ -146,14 +158,21 @@ class GapSpec:
         return G
 
 
-def _esei_term(spec: GapSpec, rho: float) -> float:
-    """ln|I + rho E H H^H| for the distribution described by ``spec``;
-    DomainError when rho E H H^H overflows the float range."""
-    with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        X = np.eye(spec.n_rx) + rho * spec.expected_gram()
-    if not np.isfinite(X).all():
+def _esei_term(spec: GapSpec, rhos) -> np.ndarray:
+    """ln|I + rho E H H^H| at every rho of ``rhos`` (+inf gives ln|E H H^H|)
+    for the distribution described by ``spec``; DomainError when rho
+    E H H^H overflows the float range."""
+    first = linalg.gram_log_rates(spec.expected_gram()[None], rhos)[0]
+    if np.any(first == np.inf):
         raise DomainError("the surrogate term overflows the float range")
-    return linalg.logdet_hpd(X)
+    return first
+
+
+def _check_rho(rho) -> float:
+    """rho as a float when it is +inf or a finite real >= 0, else DomainError."""
+    if isinstance(rho, numbers.Real) and rho == np.inf:
+        return np.inf
+    return check_nonnegative(rho, "rho")
 
 
 class SweepResult(list):
@@ -178,6 +197,9 @@ def gamma_rho(
     The expected-Gram term is closed form; only E ln|I + rho H H^H| is
     sampled. Draws depend on (seed, sample index) alone, so estimates
     at different rho from the same seed share their random numbers.
+    rho = +inf gives Gamma(inf) = ln|E H H^H| - E ln|H H^H| itself,
+    which is +inf, and a DomainError, for a random spec whose H H^H is
+    singular almost surely (``gram_rank`` below N).
     """
     sweep = monotonicity_sweep(spec, [rho], n_samples, seed, workers=workers)
     return sweep[0]
@@ -193,16 +215,17 @@ def monotonicity_sweep(
     """Gamma(rho) across an ascending SNR grid with common random numbers.
 
     Returns a SweepResult whose diff_std_errors let successive grid
-    differences be tested at their paired precision.
+    differences be tested at their paired precision. The grid may end
+    in +inf, as for gamma_rho.
     """
     if np.ndim(rho_grid) != 1 or np.size(rho_grid) == 0:
         raise DomainError("rho grid must be a non-empty 1-d sequence")
-    rhos = np.array([check_nonnegative(r, "rho") for r in rho_grid])
+    rhos = np.array([_check_rho(r) for r in rho_grid])
     n_samples, seed, workers = check_run(n_samples, seed, workers)
-    if np.any(np.diff(rhos) < 0.0):
+    if np.any(rhos[1:] < rhos[:-1]):
         raise DomainError("rho grid must be ascending")
 
-    first = np.array([_esei_term(spec, r) if r > 0.0 else 0.0 for r in rhos])
+    first = _esei_term(spec, rhos)
 
     # Deterministic channel: both terms coincide at every rho.
     if np.trace(spec.cov).real <= 0.0:
@@ -210,6 +233,8 @@ def monotonicity_sweep(
             MonteCarloEstimate(0.0, 0.0, n_samples, seed, rho=float(r)) for r in rhos
         ]
         return SweepResult(ests, np.zeros(max(rhos.size - 1, 0)))
+    if rhos[-1] == np.inf and spec.gram_rank < spec.n_rx:
+        raise DomainError(f"Gamma(inf) is +inf: H H^H has rank {spec.gram_rank} < {spec.n_rx}")
 
     positive = rhos > 0.0
     rho_pos = rhos[positive]
@@ -244,11 +269,9 @@ def gamma_inf_miso_iid(M: int) -> float:
     """Infinite-SNR gap for a zero-mean i.i.d. MISO channel with M inputs.
 
     Equals gamma + ln M - H_{M-1}, which is also
-    gamma - (H_M - ln M) + 1/M.
+    gamma - (H_M - ln M) + 1/M: the MIMO limit with one receive antenna.
     """
-    M = check_integer(M, "M")
-    h = harmonic(M - 1) if M > 1 else 0.0
-    return euler_gamma() + float(np.log(M)) - h
+    return gamma_inf_mimo_iid(M, 1)
 
 
 def e_log_quadform(lam, mu2, rho) -> float:
@@ -277,8 +300,8 @@ def e_log_quadform(lam, mu2, rho) -> float:
         raise DimensionMismatch(f"lam and mu2 must be 1-d of one length, not {lam.shape}")
     if not np.all(np.isfinite(lam) & np.isfinite(mu2) & (lam >= 0.0) & (mu2 >= 0.0)):
         raise DomainError("lam and mu2 must be finite and >= 0")
+    rho = _check_rho(rho)
     infinite = rho == np.inf
-    rho = np.inf if infinite else check_nonnegative(rho, "rho")
     with np.errstate(over="ignore"):  # raised below
         m = float(lam.sum() + mu2.sum())
     r = rho * m

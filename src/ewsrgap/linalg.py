@@ -1,11 +1,13 @@
 """Complex Hermitian matrix kernel used by the rate formulas.
 
-Everything here operates on plain complex ndarrays. Matrices must be
-finite and are validated against the Hermitian tolerance
-``HERM_RTOL * max|A|`` before factorization, so shape or symmetry bugs
+Everything here operates on plain complex ndarrays. Matrices handed to
+the eigendecompositions must be finite and are validated against the
+Hermitian tolerance ``HERM_RTOL * max|A|``, so shape or symmetry bugs
 surface at the boundary instead of deep inside a Monte-Carlo loop.
-``gram`` and ``gram_log_rates`` are the batched Monte-Carlo kernels:
-every sampled Gram and every sampled log-det goes through them.
+``gram`` and ``gram_log_rates`` are the batched kernels: every sampled
+Gram goes through ``gram``, and every log-det the package takes, of an
+expected Gram or of sampled ones, at any rho from 0 to +inf, through
+``gram_log_rates``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .errors import (
     IndefiniteMatrix,
     NoConvergence,
     NotHermitian,
-    NotPositiveDefinite,
     check_finite,
 )
 
@@ -73,27 +74,6 @@ class HermitianSpectrum:
         V = self.eigenvectors
         S = (V * self.roots()) @ V.conj().T
         return 0.5 * (S + S.conj().T)
-
-
-def logdet_hpd(A) -> float:
-    """ln det of a Hermitian positive-definite matrix, in nats.
-
-    Computed from Cholesky pivots (sum of log diagonal entries), never
-    via the raw determinant, so it stays finite for any size that fits
-    in memory.
-
-    Raises DomainError for non-finite entries, NotHermitian or
-    NotPositiveDefinite.
-    """
-    A = _check_hermitian(_as_square(A))
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
-    d = np.real(np.diagonal(L))
-    if np.any(d <= 0.0):
-        raise NotPositiveDefinite("Cholesky produced a nonpositive pivot")
-    return float(2.0 * np.sum(np.log(d)))
 
 
 def hermitian_eig(A) -> HermitianSpectrum:
@@ -170,15 +150,18 @@ def gram_log_rates(G: np.ndarray, rhos) -> np.ndarray:
     """Per-sample ln det(I + rho G) for a PSD batch G of shape (n, N, N).
 
     Returns shape (n, len(rhos)): the whole rho grid comes from one set
-    of Gram eigenvalues per sample, negative ones clipped to zero. N = 1
+    of Gram eigenvalues g per sample, negative ones clipped to zero. A
+    rho of +inf stands for the high-SNR offset sum ln g = ln det G
+    (Lozano, Tulino & Verdu, IEEE T-IT 2005), -inf for a singular G. N = 1
     reads the diagonal, N = 2 uses the closed form below and N >= 3
     calls batched eigvalsh.
 
     For N = 2, with a, d the diagonal and b the lower off-diagonal entry,
-    lambda_max = (a + d)/2 + hypot((a - d)/2, |b|) and lambda_min =
+    lambda_max = a/2 + d/2 + hypot((a - d)/2, |b|) and lambda_min =
     (a d - |b|^2) / lambda_max, evaluated as a (d/lambda_max) -
     |b| (|b|/lambda_max). The quotient form is more accurate on rank-one
-    Grams than (a + d)/2 - hypot, and the split keeps a = d, b = 0 exact.
+    Grams than (a + d)/2 - hypot, the split keeps a = d, b = 0 exact, and
+    halving before adding keeps a + d from overflowing.
     Non-finite entries or an overflowing rho G give non-finite rates,
     without warnings.
     """
@@ -189,7 +172,7 @@ def gram_log_rates(G: np.ndarray, rhos) -> np.ndarray:
     elif N == 2:
         a, d, b = G[:, 0, 0].real, G[:, 1, 1].real, np.abs(G[:, 1, 0])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            top = np.maximum(0.5 * (a + d) + np.hypot(0.5 * (a - d), b), 0.0)
+            top = np.maximum(0.5 * a + 0.5 * d + np.hypot(0.5 * (a - d), b), 0.0)
             low = np.where(top > 0.0, a * (d / top) - b * (b / top), 0.0)
         g = np.stack([top, np.maximum(low, 0.0)], axis=1)
     else:
@@ -197,5 +180,9 @@ def gram_log_rates(G: np.ndarray, rhos) -> np.ndarray:
         finite = np.isfinite(G).all(axis=(1, 2))
         g = np.full(G.shape[:2], np.inf)
         g[finite] = np.clip(np.linalg.eigvalsh(G[finite]), 0.0, None)
-    with np.errstate(over="ignore"):
-        return np.log1p(rhos[None, None, :] * g[:, :, None]).sum(axis=1)
+    high = rhos == np.inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # ln 0 = -inf
+        rates = np.log1p(rhos[None, None, :] * g[:, :, None]).sum(axis=1)
+        if high.any():
+            rates[:, high] = np.log(g).sum(axis=1)[:, None]
+    return rates

@@ -10,12 +10,15 @@ The Monte-Carlo EWSR shares its sampler and its kernels with the gap
 estimator: each user's precoded channels are drawn with
 GapSpec.draw, in the eigenbasis of the stream covariance, their Grams
 formed by linalg.gram and their log-dets taken by
-linalg.gram_log_rates.
+linalg.gram_log_rates, the kernel that also takes the ESEI's log-dets
+of the expected Grams. The "monte-carlo-high-snr" gap limit samples
+Gamma(inf) itself, with gamma_rho at rho = +inf, and returns it plus
+Z_HIGH_SNR standard errors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,8 +26,6 @@ from . import linalg
 from .channel import (
     IbcScenario,
     PrecoderSet,
-    _served_cells,
-    check_precoders,
     stream_spec,
 )
 from .errors import DimensionMismatch, DomainError, UnsupportedCase
@@ -38,9 +39,8 @@ from .gap import (
 )
 from .mc import MonteCarloEstimate, check_run, vector_stats
 
-# Numerical stand-in for infinite SNR in Monte-Carlo gap estimation;
-# the remaining O(1/rho) bias sits far below statistical error.
-RHO_HIGH_SNR = 1.0e6
+# z of the statistical bound Gamma(inf) + z se that the sampled limit returns.
+Z_HIGH_SNR = 3.0
 
 # The explicit gap-limit methods, from most to least exact.
 GAP_METHODS = ("closed-form", "taylor", "monte-carlo-high-snr")
@@ -116,27 +116,22 @@ def wsr_realization(scenario: IbcScenario, precoders: PrecoderSet, channels) -> 
     """Weighted sum rate for one set of per-link channels.
 
     channels[k][j] is the channel from cell j to user k (rx_antennas_k
-    x M_j). Always nonnegative for nonnegative weights, since each
-    user's bracket is a valid rate.
+    x M_j). The rate is the surrogate of the scenario whose links are
+    these channels with zero covariance, where E F F^H = F F^H. Always
+    nonnegative for nonnegative weights, since each user's bracket is a
+    valid rate.
     """
-    check_precoders(scenario, precoders)
-    cells, own = _served_cells(scenario, precoders)
-    total = 0.0
+    links = []
     for k, u in enumerate(scenario.users):
-        blocks = []
-        for j, G in cells:
+        links.append([])
+        for j, M in enumerate(scenario.bs_antennas):
             H = np.asarray(channels[k][j], dtype=complex)
-            expect = (u.rx_antennas, scenario.bs_antennas[j])
-            if H.shape != expect:
-                raise DimensionMismatch(f"channel ({k},{j}) has shape {H.shape}, expected {expect}")
-            blocks.append(H @ G)
-        F = np.concatenate(blocks, axis=1)
-        # With zero covariance the surrogate terms are the rate terms of
-        # the realization F = mean, bit for bit.
-        spec = GapSpec(F, np.zeros((F.shape[1],) * 2))
-        sig, intf = (_esei_term(s, 1.0) for s in _split(spec, own[k]))
-        total += u.rate_weight * (sig - intf)
-    return total
+            if H.shape != (u.rx_antennas, M):
+                raise DimensionMismatch(
+                    f"channel ({k},{j}) has shape {H.shape}, expected {(u.rx_antennas, M)}"
+                )
+            links[k].append(GapSpec(H, np.zeros((M, M))))
+    return esei_wsr(replace(scenario, links=links), precoders)
 
 
 def _term_evaluator(specs, weights):
@@ -168,12 +163,6 @@ def _term_evaluator(specs, weights):
     return evaluate
 
 
-def _deterministic(scenario) -> bool:
-    return all(
-        np.trace(link.cov).real <= 0.0 for row in scenario.links for link in row
-    )
-
-
 def ewsr_monte_carlo(
     scenario: IbcScenario,
     precoders: PrecoderSet,
@@ -184,15 +173,13 @@ def ewsr_monte_carlo(
     """Monte-Carlo estimate of the expected weighted sum rate.
 
     Deterministic given (seed, n_samples) for any worker count. When
-    every link has zero covariance the channel is deterministic and the
-    exact value (the realization at the mean) is returned with zero
-    standard error.
+    every link has zero covariance the channel is deterministic and its
+    exact value, the surrogate esei_wsr (the realization at the mean),
+    is returned with zero standard error.
     """
     n_samples, seed, workers = check_run(n_samples, seed, workers)
-    if _deterministic(scenario):
-        means = [[link.mean for link in row] for row in scenario.links]
-        value = wsr_realization(scenario, precoders, means)
-        return MonteCarloEstimate(value, 0.0, n_samples, seed)
+    if all(np.trace(link.cov).real <= 0.0 for row in scenario.links for link in row):
+        return MonteCarloEstimate(esei_wsr(scenario, precoders), 0.0, n_samples, seed)
     return user_term_estimates(scenario, precoders, n_samples, seed, workers)[0]
 
 
@@ -233,7 +220,7 @@ def esei_terms(scenario: IbcScenario, precoders: PrecoderSet):
     user, E F F^H being the mean part plus tr(cov) I.
     """
     return [
-        tuple(_esei_term(s, 1.0) for s in specs)
+        tuple(float(_esei_term(s, [1.0])[0]) for s in specs)
         for specs in _term_specs(scenario, precoders)
     ]
 
@@ -267,20 +254,13 @@ def _taylor_limit(eff: GapSpec, n_samples, seed, workers) -> float:
 
 
 def _high_snr_limit(eff: GapSpec, n_samples, seed, workers) -> float:
-    est = gamma_rho(eff, RHO_HIGH_SNR, n_samples, seed, workers=workers)
-    return max(est.value, 0.0)
+    """The sampled Gamma(inf) plus Z_HIGH_SNR standard errors: a
+    statistical bound, not an exact one."""
+    est = gamma_rho(eff, np.inf, n_samples, seed, workers=workers)
+    return max(est.value + Z_HIGH_SNR * est.std_error, 0.0)
 
 
 _LIMITS = dict(zip(GAP_METHODS, (_closed_form_limit, _taylor_limit, _high_snr_limit)))
-
-
-def _span_rank(eff: GapSpec) -> int:
-    """Dimension of the span of the mean's rows and the range of cov, the
-    almost-sure rank of H H^H, with singular values cut at 1e-9 in power."""
-    spectrum = eff.spectrum
-    rows = np.vstack([eff.mean @ spectrum.eigenvectors, np.diag(spectrum.roots())])
-    sv = np.linalg.svd(rows, compute_uv=False)
-    return int(np.sum(sv * sv > 1e-9 * sv[0] ** 2))
 
 
 def _gamma_limit(eff: GapSpec, method: str, n_samples: int, seed: int, workers: int):
@@ -297,7 +277,7 @@ def _gamma_limit(eff: GapSpec, method: str, n_samples: int, seed: int, workers: 
     scale = max(1.0, float(np.max(np.abs(eff.mean)) ** 2)) if eff.mean.size else 1.0
     if trc <= 1e-14 * scale:
         return 0.0, GAP_METHODS[0]
-    if _span_rank(eff) < eff.n_rx:
+    if eff.gram_rank < eff.n_rx:
         return np.inf, "unbounded"
     tried = AUTO_METHODS if method == "auto" else (method,)
     for name in tried:

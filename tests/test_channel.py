@@ -375,6 +375,17 @@ class TestStreamSpec:
         ps = uniform_power_precoders(sc)
         with pytest.raises(IndexOutOfRange):
             stream_spec(sc, ps, 2)
+        with pytest.raises(IndexOutOfRange):
+            stream_spec(sc, ps, -1)
+
+    @pytest.mark.parametrize("k", [True, False, 1.5, 1.0, "1", None])
+    def test_index_must_be_an_integer(self, rng, k):
+        # True used to be taken as user 1, and 1.5 ended in a bare TypeError
+        sc = _two_user_one_cell(rng)
+        ps = uniform_power_precoders(sc)
+        with pytest.raises(DomainError, match="user index must be an integer, got"):
+            stream_spec(sc, ps, k)
+        assert stream_spec(sc, ps, np.int64(1))[1] == stream_spec(sc, ps, 1)[1]
 
     def test_expected_gram_matches_blockwise_formula(self, rng):
         sc = _two_cells(rng)
@@ -573,3 +584,43 @@ class TestScenarioJson:
         assert sc.n_cells == 2 and sc.n_users == 4
         assert ps is not None and len(ps.matrices) == 4
         assert seed == 7
+
+
+class TestListArguments:
+    """The list arguments of IbcScenario and PrecoderSet are checked when
+    they are built, with a typed error that names the argument."""
+
+    @staticmethod
+    def args():
+        return dict(
+            bs_antennas=[2],
+            users=[UserConfig(serving_bs=0, rx_antennas=1, streams=1, rate_weight=1.0)],
+            power_budgets=[1.0],
+            links=[[GapSpec(np.zeros((1, 2)), np.eye(2))]],
+        )
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("bs_antennas", 2, "bs_antennas must be a list"),
+        ("power_budgets", 1.0, "power_budgets must be a list"),
+        ("users", None, "users must be a list"),
+        ("users", [{"serving_bs": 0}], r"users\[0\] must be a UserConfig"),
+        ("links", None, "links must be a list"),
+        ("links", [GapSpec(np.zeros((1, 2)), np.eye(2))], r"links\[0\] must be a list"),
+        ("links", [[np.zeros((1, 2))]], r"links\[0\]\[0\] must be a GapSpec"),
+    ])
+    def test_scenario_rejects(self, name, value, message):
+        args = self.args()
+        args[name] = value
+        with pytest.raises(DomainError, match=message):
+            IbcScenario(**args)
+
+    def test_tuples_are_taken_as_lists(self):
+        args = {name: tuple(value) for name, value in self.args().items()}
+        sc = IbcScenario(**args)
+        assert all(type(getattr(sc, name)) is list for name in args)
+        assert type(PrecoderSet((np.ones((2, 1)),)).matrices) is list
+
+    @pytest.mark.parametrize("value", [None, np.ones((1, 2, 1)), 3])
+    def test_precoders_reject_a_non_list(self, value):
+        with pytest.raises(DomainError, match="precoders must be a list"):
+            PrecoderSet(value)

@@ -308,9 +308,8 @@ class TestSandwich:
         assert err.startswith("error:") and "overflow" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("mean, cov, method", [
-        # rho = 1e6 times the covariance overflows the surrogate term of
-        # the Monte-Carlo gap limit before any sample is drawn
-        (0.0, 1e306, "monte-carlo-high-snr"),
+        # the Grams drawn for the Monte-Carlo gap limit overflow
+        (0.0, 1e308, "monte-carlo-high-snr"),
         # mean mean^H overflows the expected Gram of the ESEI
         (1e200, 1.0, "auto"),
     ])
@@ -334,6 +333,27 @@ class TestSandwich:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "overflow" in err and err.count("\n") == 1
+
+    def test_huge_link_sampled_limit_finishes_without_warnings(self, tmp_path):
+        # at rho = +inf nothing overflows for a 1e306 covariance, and the
+        # sampled limit plus 3 se keeps the 100-sample EWSR inside
+        users = [UserConfig(serving_bs=0, rx_antennas=2, streams=2, rate_weight=1.0)]
+        sc = IbcScenario(
+            bs_antennas=[3],
+            users=users,
+            power_budgets=[1.0],
+            links=[[GapSpec(mean=np.zeros((2, 3)), cov=1e306 * np.eye(3))]],
+        )
+        path = tmp_path / "huge.json"
+        save_scenario(sc, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sandwich", "--scenario", str(path), "--uniform-precoders",
+                         "--method", "monte-carlo-high-snr", "--samples", "100",
+                         "--out", str(tmp_path / "sw.csv")])
+        assert code == 0
+        _, _, rows = read_csv(tmp_path / "sw.csv")
+        assert rows[0][4] == "monte-carlo-high-snr" and rows[0][11] == "true"
 
 
 class TestVerify:
@@ -512,34 +532,42 @@ def test_mutated_demo_loads_or_fails_typed(mutations):
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
-# Where a value enters each type: (type, argument), the argument being
-# the first entry of the list for a list argument.
-ENTRY_SITES = [
-    ("user", "serving_bs"), ("user", "rx_antennas"), ("user", "streams"),
-    ("user", "rate_weight"), ("scenario", "bs_antennas"), ("scenario", "power_budgets"),
-    ("scenario", "seed"), ("spec", "mean"), ("spec", "cov"), ("precoders", "matrices"),
+# Where a value enters each type: (type, argument, whole). A list
+# argument takes the value as its first entry, or in its place when whole.
+LIST_ARGUMENTS = [
+    ("scenario", "bs_antennas"), ("scenario", "power_budgets"), ("scenario", "users"),
+    ("scenario", "links"), ("precoders", "matrices"),
 ]
+ENTRY_SITES = [
+    (kind, name, False) for kind, name in [
+        ("user", "serving_bs"), ("user", "rx_antennas"), ("user", "streams"),
+        ("user", "rate_weight"), ("scenario", "seed"), ("spec", "mean"), ("spec", "cov"),
+        *LIST_ARGUMENTS,
+    ]
+] + [(kind, name, True) for kind, name in LIST_ARGUMENTS]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=250, deadline=None, derandomize=True)
 @given(st.sampled_from(ENTRY_SITES), st.sampled_from([v for v in NASTY if v is not DELETE]))
 def test_types_built_from_nasty_values_check_them(site, value):
     # each type either takes the value or raises a typed error when it is
-    # built, never a TypeError later; a scenario that builds never has a
-    # NaN surrogate
+    # built, never a TypeError or AttributeError later; a scenario that
+    # builds never has a NaN surrogate
     args = {
         "user": {"serving_bs": 0, "rx_antennas": 1, "streams": 1, "rate_weight": 1.0},
         "scenario": {"bs_antennas": [2], "power_budgets": [1.0], "seed": None},
         "spec": {"mean": np.zeros((1, 2)), "cov": np.eye(2)},
         "precoders": {"matrices": [np.full((2, 1), 0.5)]},
     }
-    kind, name = site
-    args[kind][name] = [value] if isinstance(args[kind][name], list) else value
+    kind, name, whole = site
+    args[kind][name] = [value] if (kind, name) in LIST_ARGUMENTS and not whole else value
     try:
         scenario = IbcScenario(
-            users=[UserConfig(**args["user"])],
-            links=[[GapSpec(**args["spec"])]],
-            **args["scenario"],
+            **{
+                "users": [UserConfig(**args["user"])],
+                "links": [[GapSpec(**args["spec"])]],
+                **args["scenario"],
+            }
         )
         precoders = PrecoderSet(**args["precoders"])
     except EwsrgapError:

@@ -151,14 +151,47 @@ def test_check_finite():
 
 @pytest.mark.parametrize("rho", [np.nan, np.inf, True])
 def test_rho_checked_at_every_entry(rho):
-    # NaN used to give a zero gap and True an SNR of 1
+    # NaN used to give a zero gap and True an SNR of 1; the sweep takes
+    # rho = +inf, so its row checks -inf, and the second-order gap +inf
     spec = GapSpec(mean=np.zeros((1, 2)), cov=np.eye(2))
+    swept = -rho if rho == np.inf else rho
     with pytest.raises(DomainError, match="rho must be a finite real number"):
-        gamma_rho(spec, rho, 100, 0)
+        gamma_rho(spec, swept, 100, 0)
     with pytest.raises(DomainError, match="rho must be a finite real number"):
-        monotonicity_sweep(spec, [0.0, 1.0, rho], 100, 0)
+        monotonicity_sweep(spec, [0.0, 1.0, swept], 100, 0)
     with pytest.raises(DomainError, match="rho must be a finite real number"):
         taylor_gamma2(spec, rho)
+
+
+class TestInfiniteSnr:
+    """gamma_rho at rho = +inf samples Gamma(inf) = ln|E H H^H| - E ln|H H^H|."""
+
+    @pytest.mark.parametrize("n_rx, want", [(1, gamma_inf_miso_iid(8)),
+                                            (2, gamma_inf_mimo_iid(8, 2))])
+    def test_iid_matches_closed_form(self, n_rx, want):
+        est = gamma_rho(GapSpec(np.zeros((n_rx, 8)), np.eye(8)), np.inf, 20_000, 5)
+        assert est.rho == np.inf
+        assert est.value == pytest.approx(want, abs=5 * est.std_error)
+
+    def test_sweep_ending_in_inf_shares_its_draws(self):
+        # each column is its own log-det of the same draws, so a grid
+        # ending in +inf moves no entry beyond the order of the sample sums
+        spec = GapSpec(np.ones((2, 3)), exp_profile_cov(3))
+        grid = [0.0, 1.0, 1e3]
+        a = monotonicity_sweep(spec, grid + [np.inf], 5000, 9, workers=2)
+        b = monotonicity_sweep(spec, grid, 5000, 9)
+        c = gamma_rho(spec, np.inf, 5000, 9)
+        for x, y in zip(a, list(b) + [c]):
+            assert x.value == pytest.approx(y.value, rel=1e-12, abs=1e-15)
+            assert x.std_error == pytest.approx(y.std_error, rel=1e-12)
+        assert a[0].value == 0.0 and a[-1].value > a[-2].value
+
+    def test_deterministic_channel_is_zero_without_warnings(self):
+        spec = GapSpec(np.ones((2, 3)), np.zeros((3, 3)))  # E H H^H is singular
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = gamma_rho(spec, np.inf, 100, 0)
+        assert est.value == 0.0 and est.std_error == 0.0
 
 
 class TestGammaRho:
@@ -584,7 +617,7 @@ def _unblocked_sweep(spec, rhos, n_samples, seed, workers):
         return linalg.gram_log_rates(linalg.gram(spec.draw(rng, count)), rhos)
 
     mean, se, diff_se = vector_stats(n_samples, seed, evaluate, workers=workers, track_diffs=True)
-    values = np.array([gap._esei_term(spec, r) for r in rhos]) - mean
+    values = gap._esei_term(spec, rhos) - mean
     return values, se, diff_se
 
 

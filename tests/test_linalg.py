@@ -8,9 +8,9 @@ from ewsrgap.errors import (
     DomainError,
     IndefiniteMatrix,
     NotHermitian,
-    NotPositiveDefinite,
 )
-from ewsrgap.linalg import gram, gram_log_rates, hermitian_eig, hermitian_sqrt, logdet_hpd
+from ewsrgap.gap import GapSpec
+from ewsrgap.linalg import gram, gram_log_rates, hermitian_eig, hermitian_sqrt
 from ewsrgap.mc import complex_normal
 
 
@@ -29,32 +29,54 @@ def random_hpd(rng, n):
 
 
 class TestLogdet:
+    """The rho = +inf column of gram_log_rates is ln det G: the package's
+    one log-det, of expected Grams and of sampled ones."""
+
+    @staticmethod
+    def logdet(A):
+        return gram_log_rates(np.asarray(A, dtype=complex)[None], [np.inf])[0, 0]
+
     def test_identity(self):
-        assert logdet_hpd(np.eye(3)) == 0.0
+        assert self.logdet(np.eye(3)) == 0.0
 
     def test_diagonal(self):
-        assert logdet_hpd(np.diag([2.0, 4.0])) == pytest.approx(np.log(8.0), rel=1e-15)
+        assert self.logdet(np.diag([2.0, 4.0])) == pytest.approx(np.log(8.0), rel=1e-15)
 
     def test_matches_eigenvalue_sum(self):
         rng = _rng(1)
-        for n in (2, 4, 7):
+        for n in (1, 2, 4, 7):
             A = random_hpd(rng, n)
             from_eig = np.sum(np.log(hermitian_eig(A).eigenvalues))
-            assert logdet_hpd(A) == pytest.approx(from_eig, rel=1e-10)
+            assert self.logdet(A) == pytest.approx(from_eig, rel=1e-10)
 
     def test_rejects_non_hermitian(self):
+        # gram_log_rates takes only Grams the package forms itself; a user
+        # covariance reaches the log-det through GapSpec, which checks it
         with pytest.raises(NotHermitian):
-            logdet_hpd(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            GapSpec(np.zeros((1, 2)), np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            logdet_hpd(np.diag([1.0, -1.0]))
-        with pytest.raises(NotPositiveDefinite):
-            logdet_hpd(np.zeros((2, 2)))
+    @pytest.mark.parametrize("A", [np.zeros((1, 1)), np.zeros((2, 2)), np.diag([1.0, 0.0]),
+                                   np.ones((2, 2)), np.zeros((3, 3)), np.diag([2.0, 1.0, 0.0])],
+                             ids=["zero-1", "zero-2", "diag-2", "rank-one-2", "zero-3", "diag-3"])
+    def test_singular_gram_is_minus_inf_without_warnings(self, A):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.logdet(A) == -np.inf
 
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatch):
-            logdet_hpd(np.ones((2, 3)))
+    def test_two_by_two_near_the_float_limit(self):
+        # a + d overflows at 1.5e308; halving first keeps lambda_max finite
+        got = gram_log_rates(1.5e308 * np.eye(2, dtype=complex)[None], [1.0, np.inf])
+        assert got[0] == pytest.approx(2 * np.log(1.5e308), rel=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mixed_grid_columns_match_single_calls(self, n):
+        G = gram(complex_normal(_rng(2), (50, n, 4)))
+        rhos = [0.0, 1e-3, 1.0, 1e6, np.inf]
+        got = gram_log_rates(G, rhos)
+        for p, rho in enumerate(rhos):
+            assert np.array_equal(got[:, p], gram_log_rates(G, [rho])[:, 0])
+        assert np.array_equal(got[:, 0], np.zeros(50))
+        assert np.array_equal(got[:, 1:4], gram_log_rates(G, rhos[1:4]))
 
 
 class TestHermitianEig:
@@ -93,6 +115,12 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             hermitian_eig(complex_normal(_rng(6), (4, 4)))
+        with pytest.raises(NotHermitian):
+            hermitian_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionMismatch):
+            hermitian_eig(np.ones((2, 3)))
 
 
 class TestHermitianSqrt:
@@ -241,7 +269,7 @@ class TestGram:
 
 
 class TestNonFiniteInput:
-    @pytest.mark.parametrize("fn", [logdet_hpd, hermitian_eig, hermitian_sqrt])
+    @pytest.mark.parametrize("fn", [hermitian_eig, hermitian_sqrt])
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejected_without_warnings(self, fn, bad):
         A = np.eye(3, dtype=complex)

@@ -334,3 +334,31 @@ def test_references_share_no_code_with_the_paths_they_check():
     # ... and the references take only the GapSpec data type from gap
     from_gap = {name for source, name in _imports("oracle") if source == "ewsrgap.gap"}
     assert from_gap <= {"GapSpec"}
+
+
+def _calls(module):
+    """(enclosing function, called name) for every call in an ewsrgap
+    module; the name is the attribute for a dotted call."""
+    path = Path(ewsrgap.__file__).parent / f"{module}.py"
+    found = []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+                found.append((fn.name, name))
+    return found
+
+
+def test_one_log_det_kernel():
+    # every log-det of the estimators, expected or sampled, at any rho,
+    # is taken by linalg.gram_log_rates; only the references keep slogdet
+    for module in ("gap", "rates", "channel", "mc", "linalg"):
+        for fn, name in _calls(module):
+            is_logdet = name in ("cholesky", "slogdet", "det") or "logdet" in name.lower()
+            assert not is_logdet or (module, fn) == ("linalg", "gram_log_rates"), (
+                module, fn, name)
+    for module in ("gap", "rates"):
+        assert any(name == "gram_log_rates" for _, name in _calls(module)), module

@@ -11,12 +11,13 @@ from ewsrgap.channel import (
     uniform_power_precoders,
 )
 from ewsrgap.errors import DimensionMismatch, DomainError, UnsupportedCase
-from ewsrgap.gap import GapSpec
+from ewsrgap.gap import GapSpec, gamma_rho
 from ewsrgap.mc import complex_normal
 from ewsrgap.oracle import exact_e_log_miso_iid
 from ewsrgap.rates import (
     AUTO_METHODS,
     GAP_METHODS,
+    Z_HIGH_SNR,
     SandwichBound,
     _term_specs,
     esei_terms,
@@ -250,6 +251,16 @@ class TestEwsrMonteCarlo:
         est = ewsr_monte_carlo(sc, ps, 100, 0)
         want = wsr_realization(sc, ps, _means(sc))
         assert est.value == want
+        assert est.std_error == 0.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_deterministic_shortcut_is_the_realization_at_the_means(self, seed):
+        sc, ps = _two_cell_rician(seed)
+        for row in sc.links:
+            for j, link in enumerate(row):
+                row[j] = GapSpec(link.mean, np.zeros_like(link.cov))
+        est = ewsr_monte_carlo(sc, ps, 100, 0)
+        assert est.value == wsr_realization(sc, ps, _means(sc)) == esei_wsr(sc, ps)
         assert est.std_error == 0.0
 
     def test_rejects_tiny_sample_counts(self):
@@ -540,6 +551,15 @@ class TestSandwichBounds:
         assert sb.method_per_user[0] == "monte-carlo-high-snr"
         est = ewsr_monte_carlo(sc, ps, 50_000, 2)
         assert sb.contains(est.value)
+
+    def test_sampled_limit_is_gamma_inf_plus_three_std_errors(self):
+        sc, ps = _single_user_mimo(rho=2.0)
+        sc.links[0][0] = GapSpec(mean=sc.links[0][0].mean, cov=0.5 * np.eye(2))
+        sb = sandwich_bounds(sc, ps, "monte-carlo-high-snr", n_samples=5000, seed=3)
+        est = gamma_rho(_term_specs(sc, ps)[0][0], np.inf, 5000, 3)  # the signal spec
+        assert Z_HIGH_SNR == 3.0
+        assert sb.per_user_gamma_k[0] == est.value + 3.0 * est.std_error
+        assert sb.method_per_user == ["monte-carlo-high-snr"]
 
     def test_taylor_method_on_correlated_spectrum(self):
         # equal-power beams on a correlated covariance have no matching
