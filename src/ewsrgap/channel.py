@@ -30,13 +30,15 @@ from .errors import (
     check_positive,
 )
 from .gap import GapSpec, check_spec_size
+from .linalg import serial_blas
 from .mc import complex_normal
 
 
 def sample_channel(spec: GapSpec, rng: np.random.Generator) -> np.ndarray:
     """One channel realization H = mean + W @ sqrt(cov)."""
     W = complex_normal(rng, spec.mean.shape)
-    return spec.mean + W @ spec.cov_sqrt
+    with serial_blas():
+        return spec.mean + W @ spec.cov_sqrt
 
 
 def exp_profile_cov(M: int, r: float = 0.5) -> np.ndarray:
@@ -229,7 +231,7 @@ def stream_spec(scenario: IbcScenario, precoders: PrecoderSet, k: int):
     check_precoders(scenario, precoders)
     cells, own = _served_cells(scenario, precoders)
     links = scenario.links[k]
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
+    with np.errstate(over="ignore", invalid="ignore"), serial_blas():  # overflow is raised below
         blocks = [G.conj().T @ links[j].cov @ G for j, G in cells]
         mean = np.concatenate([links[j].mean @ G for j, G in cells], axis=1)
     width = sum(B.shape[0] for B in blocks)

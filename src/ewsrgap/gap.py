@@ -124,16 +124,22 @@ class GapSpec:
         X = complex_normal(rng, (count,) + self.mean.shape)
         X *= self.spectrum.roots()
         if np.any(self.mean):
-            X += self.mean @ self.spectrum.eigenvectors
+            X += self.rotated_mean
         return X
+
+    @cached_property
+    def rotated_mean(self) -> np.ndarray:
+        """The mean in the eigenbasis of cov, mean V, shape (N, M)."""
+        with linalg.serial_blas():
+            return self.mean @ self.spectrum.eigenvectors
 
     @cached_property
     def gram_rank(self) -> int:
         """Dimension of the span of the mean's rows and the range of cov, the
         almost-sure rank of H H^H, with singular values cut at 1e-9 in power."""
-        spectrum = self.spectrum
-        rows = np.vstack([self.mean @ spectrum.eigenvectors, np.diag(spectrum.roots())])
-        sv = np.linalg.svd(rows, compute_uv=False)
+        rows = np.vstack([self.rotated_mean, np.diag(self.spectrum.roots())])
+        with linalg.serial_blas():
+            sv = np.linalg.svd(rows, compute_uv=False)
         return int(np.sum(sv * sv > 1e-9 * sv[0] ** 2))
 
     @property
@@ -379,7 +385,7 @@ def taylor_gamma2(spec: GapSpec, rho: float) -> float:
         return 0.0
     N = spec.n_rx
     C = spec.cov
-    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+    with np.errstate(over="ignore", invalid="ignore"), linalg.serial_blas():  # raised below
         X = np.eye(N) + rho * spec.expected_gram()
         Xi = np.linalg.inv(X)
         t = np.trace(Xi).real
@@ -398,7 +404,7 @@ def taylor_gamma2_inf_zero_mean(C, N: int) -> float:
     trc = np.trace(C).real
     if not trc > 0.0:
         raise DomainError("tr C must be positive")
-    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+    with np.errstate(over="ignore", invalid="ignore"), linalg.serial_blas():  # raised below
         value = 0.5 * N * N * np.trace(C @ C).real / (trc * trc)
     return _finite(value)
 

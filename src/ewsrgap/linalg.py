@@ -8,10 +8,23 @@ surface at the boundary instead of deep inside a Monte-Carlo loop.
 Gram goes through ``gram``, and every log-det the package takes, of an
 expected Gram or of sampled ones, at any rho from 0 to +inf, through
 ``gram_log_rates``.
+
+The package's LAPACK calls and covariance-sized products run inside
+``serial_blas``, on one OpenBLAS thread: OpenBLAS threads an eigh from
+32 x 32 on, and after such a call one of its pool threads spins for
+about 125 ms of CPU, taken from the Monte-Carlo worker pool, which is
+the package's parallelism. While a scope is open, other threads' BLAS
+calls run on one thread too. Without OpenBLAS 0.3.27 or later it does
+nothing. The batched N x N kernels below never reach a threading size
+and run outside it.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +40,56 @@ from .errors import (
 # Relative tolerances for Hermitian deviation and PSD eigenvalue clamping.
 HERM_RTOL = 1e-10
 PSD_RTOL = 1e-10
+
+# OpenBLAS's "local" thread-count setter is process-wide in its pthreads
+# build, so open scopes are counted: the first saves the count, the
+# last restores it.
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = 0
+
+
+@functools.cache
+def _openblas_setter():
+    """openblas_set_num_threads_local (OpenBLAS 0.3.27 on) of the OpenBLAS
+    this process has loaded, or None: another BLAS, an older OpenBLAS or
+    no /proc/self/maps."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as maps:
+            paths = [line.split(maxsplit=5)[-1].strip() for line in maps]
+    except OSError:
+        return None
+    for path in dict.fromkeys(p for p in paths if "openblas" in p.rpartition("/")[2]):
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+@contextmanager
+def serial_blas():
+    """Run the BLAS and LAPACK calls of the body on one OpenBLAS thread.
+
+    Any other thread's BLAS work while a scope is open runs on one
+    thread too; the last scope to close restores the prior count. A
+    no-op where ``_openblas_setter`` finds no setter.
+    """
+    global _blas_depth, _blas_saved
+    with _blas_lock:
+        setter = _openblas_setter()
+        if setter is not None and _blas_depth == 0:
+            _blas_saved = setter(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if setter is not None and _blas_depth == 0:
+                setter(_blas_saved)
 
 
 def _as_square(A) -> np.ndarray:
@@ -63,7 +126,8 @@ class HermitianSpectrum:
 
     def reconstruct(self) -> np.ndarray:
         V = self.eigenvectors
-        return (V * self.eigenvalues) @ V.conj().T
+        with serial_blas():
+            return (V * self.eigenvalues) @ V.conj().T
 
     def roots(self) -> np.ndarray:
         """Square roots of the eigenvalues, negative ones clipped to zero."""
@@ -72,7 +136,8 @@ class HermitianSpectrum:
     def sqrt(self) -> np.ndarray:
         """The Hermitian root V diag(roots) V^H, exactly Hermitian."""
         V = self.eigenvectors
-        S = (V * self.roots()) @ V.conj().T
+        with serial_blas():
+            S = (V * self.roots()) @ V.conj().T
         return 0.5 * (S + S.conj().T)
 
 
@@ -86,7 +151,8 @@ def hermitian_eig(A) -> HermitianSpectrum:
     """
     A = _check_hermitian(_as_square(A))
     try:
-        w, V = np.linalg.eigh(A)
+        with serial_blas():
+            w, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigendecomposition did not converge: {exc}") from exc
     order = np.argsort(w)[::-1]

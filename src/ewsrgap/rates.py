@@ -240,9 +240,8 @@ def _closed_form_limit(eff: GapSpec, n_samples, seed, workers) -> float:
     if eff.is_zero_mean() and lam.max() / lam.min() - 1.0 <= 1e-9 and lam.size >= N:
         return gamma_inf_mimo_iid(lam.size, N)
     if N == 1:
-        spectrum = eff.spectrum
-        lam = np.clip(spectrum.eigenvalues, 0.0, None)
-        mu2 = np.abs(eff.mean @ spectrum.eigenvectors)[0] ** 2
+        lam = np.clip(eff.spectrum.eigenvalues, 0.0, None)
+        mu2 = np.abs(eff.rotated_mean)[0] ** 2
         return float(np.log(lam.sum() + mu2.sum())) - e_log_quadform(lam, mu2, np.inf)
     raise UnsupportedCase("no closed-form gap limit for this spec")
 

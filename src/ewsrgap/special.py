@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, check_integer
+from .linalg import serial_blas
 
 # Machine epsilon for the series and Lentz iterations below.
 _EPS = np.finfo(float).eps
@@ -212,7 +213,8 @@ def gauss_laguerre(n: int) -> QuadratureRule:
     if n > 256:
         raise DomainError(f"gauss_laguerre supports 1 <= n <= 256, got {n}")
     k = np.arange(1.0, n)
-    x = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) + np.diag(k, 1) + np.diag(k, -1))
+    with serial_blas():
+        x = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) + np.diag(k, 1) + np.diag(k, -1))
     L_n, diff, _ = _laguerre(n, x)
     x -= x * L_n / (n * diff)  # Newton step, as x L_n' = n (L_n - L_{n-1})
     _, diff, log_scale = _laguerre(n, x)

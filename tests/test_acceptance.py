@@ -6,12 +6,23 @@ Sample counts follow the stated values; where a criterion states a
 runtime budget the wall time is asserted too.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ewsrgap.channel import exp_profile_cov
+import ewsrgap
+from ewsrgap.channel import (
+    IbcScenario,
+    PrecoderSet,
+    UserConfig,
+    exp_profile_cov,
+    save_scenario,
+)
 from ewsrgap.cli import main
 from ewsrgap.gap import (
     GapSpec,
@@ -22,6 +33,7 @@ from ewsrgap.gap import (
     monotonicity_sweep,
     taylor_gamma2,
 )
+from ewsrgap.mc import complex_normal
 from ewsrgap.oracle import (
     bartlett_sample,
     exact_e_log_miso_corr,
@@ -296,10 +308,43 @@ def test_criterion_10_cli_determinism(tmp_path):
         multi = run(args + ["--workers", "3"], f"{name}_c.csv")
         same = base == rerun == multi
         ok = ok and same
+
+    # covariance-sized eigh, SVD and products, which OpenBLAS would thread,
+    # give the same rows whatever BLAS thread count the process starts with
+    rng = np.random.default_rng(10)
+    M = 64
+    users = [UserConfig(serving_bs=0, rx_antennas=2, streams=1, rate_weight=1.0)
+             for _ in range(4)]
+    rician = [[GapSpec(0.5 * complex_normal(rng, (2, M)), exp_profile_cov(M, 0.3 + 0.1 * k))]
+              for k in range(4)]
+    beams = [complex_normal(rng, (M, 1)) for _ in range(4)]
+    beams = PrecoderSet([0.5 * g / np.linalg.norm(g) for g in beams])  # power 1/4 each
+    scenario = tmp_path / "massive.json"
+    save_scenario(IbcScenario([M], users, [1.0], rician, seed=5), scenario, beams)
+    massive = {
+        "fig2": ["fig2", "--samples", "2000", "--tx-antennas", "64,256",
+                 "--rx-antennas", "4", "--seed", "5"],
+        "sandwich": ["sandwich", "--samples", "2000", "--scenario", str(scenario)],
+    }
+    src = str(Path(ewsrgap.__file__).parents[1])
+    blas_ok = True
+    for name, args in massive.items():
+        rows = set()
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}_blas{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run([sys.executable, "-m", "ewsrgap.cli", *args, "--out", str(out)],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+            rows.add("".join(ln for ln in lines if not ln.startswith("#")))
+        blas_ok = blas_ok and len(rows) == 1
     record(
         10,
-        ok,
+        ok and blas_ok,
         "fig1/fig2/sandwich/verify: data rows byte-identical across reruns and "
-        f"worker counts 1 vs 3: {'yes' if ok else 'NO'}",
+        f"worker counts 1 vs 3: {'yes' if ok else 'NO'}; 64-256-antenna fig2 and "
+        f"sandwich at OPENBLAS_NUM_THREADS 1 vs 2: {'yes' if blas_ok else 'NO'}",
     )
-    assert ok
+    assert ok and blas_ok

@@ -49,6 +49,11 @@ def _rank_deficient_spec():
     return GapSpec(mean=0.5 * _mean(rng, 2, 6), cov=B @ B.conj().T)
 
 
+def _massive_spec():
+    """Nonzero mean, N = 4, M = 256: mean V is a product OpenBLAS threads."""
+    return GapSpec(mean=_mean(np.random.default_rng(32), 4, 256), cov=exp_profile_cov(256))
+
+
 SAMPLER_SPECS = [_correlated_spec, _rank_deficient_spec]
 
 
@@ -510,15 +515,18 @@ class TestEigenbasisSampler:
         ref = brute_force_gap(spec, rho, 4000, 41)
         assert abs(est.value - ref.value) <= 5.0 * np.hypot(est.std_error, ref.std_error)
 
-    @pytest.mark.parametrize("make", SAMPLER_SPECS)
+    @pytest.mark.parametrize("make", SAMPLER_SPECS + [_massive_spec])
     def test_draw_layout(self, make):
         # one complex_normal call of the mean's shape per sample, scaled
-        # by the roots of the eigenvalues and shifted by mean V
+        # by the roots of the eigenvalues and shifted by mean V, which is
+        # computed once per spec
         spec = make()
         X = spec.draw(chunk_stream(3, 0), 7)
         W = complex_normal(chunk_stream(3, 0), (7,) + spec.mean.shape)
         mean_v = spec.mean @ spec.spectrum.eigenvectors
         assert np.array_equal(X, W * spec.spectrum.roots() + mean_v)
+        assert spec.rotated_mean is spec.rotated_mean
+        assert np.array_equal(spec.rotated_mean, mean_v)
 
     def test_zero_mean_draw_is_unshifted(self):
         spec = GapSpec(mean=np.zeros((2, 3)), cov=exp_profile_cov(3, 0.4))

@@ -1,7 +1,15 @@
+import ast
+import threading
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import ewsrgap
+from ewsrgap import linalg
+from ewsrgap.channel import exp_profile_cov
 
 from ewsrgap.errors import (
     DimensionMismatch,
@@ -9,7 +17,7 @@ from ewsrgap.errors import (
     IndefiniteMatrix,
     NotHermitian,
 )
-from ewsrgap.gap import GapSpec
+from ewsrgap.gap import GapSpec, taylor_gamma2
 from ewsrgap.linalg import gram, gram_log_rates, hermitian_eig, hermitian_sqrt
 from ewsrgap.mc import complex_normal
 
@@ -278,3 +286,107 @@ class TestNonFiniteInput:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="non-finite"):
                 fn(A)
+
+
+def _blas_threads(setter):
+    """The OpenBLAS thread count, read by setting 1 and setting it back."""
+    count = setter(1)
+    setter(count)
+    return count
+
+
+@pytest.fixture
+def openblas():
+    """The OpenBLAS thread-count setter, with the count at 2 for the test."""
+    setter = linalg._openblas_setter()
+    if setter is None:
+        pytest.skip("no OpenBLAS with openblas_set_num_threads_local is loaded")
+    prior = setter(2)
+    yield setter
+    setter(prior)
+
+
+class TestSerialBlas:
+    def test_one_thread_inside_prior_count_after(self, openblas):
+        with linalg.serial_blas():
+            assert _blas_threads(openblas) == 1
+            with linalg.serial_blas():
+                assert _blas_threads(openblas) == 1
+            assert _blas_threads(openblas) == 1
+        assert _blas_threads(openblas) == 2
+        with pytest.raises(ZeroDivisionError), linalg.serial_blas():
+            1 / 0
+        assert _blas_threads(openblas) == 2
+
+    def test_interleaved_threads_restore_on_last_exit(self, openblas):
+        # the main thread enters, a second thread enters, the main thread
+        # leaves while the second is still inside, then the second leaves
+        inside, release = threading.Event(), threading.Event()
+
+        def second():
+            with linalg.serial_blas():
+                inside.set()
+                release.wait(10)
+
+        thread = threading.Thread(target=second)
+        with linalg.serial_blas():
+            thread.start()
+            assert inside.wait(10)
+        assert _blas_threads(openblas) == 1
+        release.set()
+        thread.join(10)
+        assert not thread.is_alive()
+        assert _blas_threads(openblas) == 2
+
+    def test_no_setter_is_a_no_op(self, monkeypatch):
+        real = linalg._openblas_setter()
+        before = None if real is None else _blas_threads(real)
+        monkeypatch.setattr(linalg, "_openblas_setter", lambda: None)
+        ran = []
+        with linalg.serial_blas(), linalg.serial_blas():
+            ran.append(None if real is None else _blas_threads(real))
+        assert ran == [before]
+        assert linalg._blas_depth == 0
+
+    def test_covariance_calls_leave_no_spinning_blas_thread(self, openblas):
+        # after a threaded eigh or SVD of this size an OpenBLAS pool thread
+        # spins for about 125 ms; in a serial scope there is no pool work
+        time.sleep(0.2)  # let any earlier pool work wind down
+        spec = GapSpec(np.zeros((4, 256)), exp_profile_cov(256))
+        assert spec.gram_rank >= spec.n_rx
+        taylor_gamma2(spec, 1e3)
+        start = time.process_time()
+        time.sleep(0.2)
+        assert time.process_time() - start < 0.03
+
+
+def _np_linalg_calls(module):
+    """(enclosing function, np.linalg function, inside a serial_blas scope)
+    for every np.linalg call in an ewsrgap module."""
+    path = Path(ewsrgap.__file__).parent / f"{module}.py"
+    found = []
+
+    def visit(node, fn, serial):
+        if isinstance(node, ast.FunctionDef):
+            fn = node.name
+        if isinstance(node, ast.With):
+            serial = serial or any("serial_blas" in ast.unparse(item.context_expr)
+                                   for item in node.items)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).startswith("np.linalg."):
+            found.append((fn, node.func.attr, serial))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn, serial)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None, False)
+    return found
+
+
+def test_dense_linear_algebra_runs_in_serial_blas_scopes():
+    # the one exemption: batched N x N Grams, far below OpenBLAS's threading size
+    exempt = {("linalg", "gram_log_rates", "eigvalsh")}
+    calls = {module: _np_linalg_calls(module)
+             for module in ("gap", "rates", "channel", "linalg", "special")}
+    outside = {(m, fn, name) for m, found in calls.items() for fn, name, serial in found
+               if not serial}
+    assert outside == exempt
+    assert sum(len(found) for found in calls.values()) >= 5
