@@ -17,22 +17,28 @@ Every Monte-Carlo draw of a GapSpec, here and in `rates`, comes from
 ``GapSpec.draw``, which samples in the eigenbasis of
 cov = V diag(lambda) V^H. Since sqrt(cov) = V diag(sqrt(lambda)) V^H,
 H V = mean V + (W V) diag(sqrt(lambda)), and W V has the law of W
-because V is unitary. So it draws mean V + W diag(sqrt(lambda)),
-O(N M) per sample instead of the O(N M^2) product with the M x M root,
-and the Gram of that draw has the law of H H^H = (H V)(H V)^H.
+because V is unitary. Only the r eigenvalues above SUPPORT_RTOL times
+the largest count: on the other M - r columns H V is the fixed
+(mean V)[:, r:], whose thin SVD U diag(s) W^H keeps it as q <= N
+columns U diag(s). So a draw is [mean V_r + W diag(sqrt(lambda_r)), U s],
+N r random values per sample instead of the O(N M^2) product with the
+M x M root, and ``GapSpec.basis``, [V^H[:r]; W^H V^H[r:]], maps it back:
+X basis has the law of H, and X X^H the law of H H^H. A full-rank
+spec (r = M) has q = 0 and basis V^H.
 
 monotonicity_sweep (and so gamma_rho) walks each Monte-Carlo chunk in
-blocks of BLOCK_ENTRIES // (N M) samples: one draw from the chunk's
+blocks of BLOCK_ENTRIES // (N (r + q)) samples: one draw from the chunk's
 generator, its Grams and its log-dets per block, written into the
 chunk's rows. A block's working set (1 MiB of draws) stays in cache,
-where a whole chunk at M = 256, N = 4 is 64 MiB. The bits do not
+where a whole full-rank chunk at M = 256, N = 4 is 64 MiB. The bits do not
 change: standard_normal fills values in order from one bit generator,
 so consecutive blocks draw what one whole-chunk call would; every Gram
 and log-det is per sample; and the chunk sums run over the same
 (count, P) array. The EWSR in `rates` keeps whole-chunk draws, because
 it draws every user from one generator per chunk, users in order, so
 blocking it would change which draws a seed gives each user; its
-arrays are small at the sizes it runs.
+draws are N (r + q) wide, the rank of a user's stream covariance plus
+its mean's part outside it, and small at the sizes it runs.
 """
 
 from __future__ import annotations
@@ -58,6 +64,11 @@ MAX_CHUNK_ENTRIES = 2**27
 # Complex entries per block of gap-estimator draws: 1 MiB, which a
 # block's draw, Gram and log-dets share in cache.
 BLOCK_ENTRIES = 2**16
+
+# Eigenvalues of a covariance at or below SUPPORT_RTOL times the largest,
+# and the mean's singular values outside their support at or below it in
+# power, count as zero: the one cut that sets the support of a GapSpec.
+SUPPORT_RTOL = 1e-9
 
 # The error target and the strip half-width of e_log_quadform.
 QUAD_TOL = 1e-16
@@ -86,8 +97,10 @@ class GapSpec:
     perturbation; both must hold finite numbers. It describes a
     scenario's links as well as the effective channels whose
     Gram-log-det gap is studied. ``spectrum`` is the one
-    eigendecomposition of cov; the square root and the eigenbasis
-    sampler ``draw`` both come from it.
+    eigendecomposition of cov; the square root, the support (r, q,
+    ``basis``) and the eigenbasis sampler ``draw`` all come from it.
+    The support is computed on first use, so building a spec costs
+    the eigendecomposition alone.
     """
 
     mean: np.ndarray
@@ -115,16 +128,23 @@ class GapSpec:
         return self.spectrum.sqrt()
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """count draws of H V = mean V + W diag(sqrt(lambda)), shape (count, N, M).
+        """count draws of [mean V_r + W diag(sqrt(lambda_r)), U s], shape
+        (count, N, r + q), with r = ``support_rank`` and U s the q fixed
+        columns of the mean outside the support.
 
         V is ``spectrum.eigenvectors``; see the module docstring for why
-        the Gram X X^H of a draw X has the law of H H^H, and X V^H the
-        law of H. One complex_normal call of shape (count, N, M).
+        the Gram X X^H of a draw X has the law of H H^H, and X ``basis``
+        the law of H. One complex_normal call of shape (count, N, r); at
+        full rank that is (count, N, M) and there are no fixed columns.
         """
-        X = complex_normal(rng, (count,) + self.mean.shape)
-        X *= self.spectrum.roots()
+        r = self.support_rank
+        X = complex_normal(rng, (count, self.n_rx, r))
+        X *= self.spectrum.roots()[:r]
         if np.any(self.mean):
-            X += self.rotated_mean
+            X += self.rotated_mean[:, :r]
+        fixed = self._off_support[0]
+        if fixed.shape[1]:
+            X = np.concatenate([X, np.broadcast_to(fixed, (count,) + fixed.shape)], axis=2)
         return X
 
     @cached_property
@@ -134,20 +154,50 @@ class GapSpec:
             return self.mean @ self.spectrum.eigenvectors
 
     @cached_property
-    def gram_rank(self) -> int:
-        """Dimension of the span of the mean's rows and the range of cov, the
-        almost-sure rank of H H^H, with singular values cut at 1e-9 in power."""
-        rows = np.vstack([self.rotated_mean, np.diag(self.spectrum.roots())])
+    def support_rank(self) -> int:
+        """r, the number of eigenvalues of cov above SUPPORT_RTOL times
+        the largest: the directions the perturbation reaches."""
+        eig = self.spectrum.eigenvalues
+        return int(np.sum(eig > SUPPORT_RTOL * float(eig.max(initial=0.0))))
+
+    @cached_property
+    def _off_support(self):
+        """(U s, W^H): the mean's part outside the support, (mean V)[:, r:]
+        = U diag(s) W^H by a thin SVD, cut to the q singular values with
+        s^2 above SUPPORT_RTOL times max(lambda_max, ||mean||_F^2). U s is
+        N x q, W^H is q x (M - r); q = 0 for a zero mean or a full rank."""
+        r, (N, M) = self.support_rank, self.mean.shape
+        if r == M or not np.any(self.mean):
+            return np.zeros((N, 0), dtype=complex), np.zeros((0, M - r), dtype=complex)
         with linalg.serial_blas():
-            sv = np.linalg.svd(rows, compute_uv=False)
-        return int(np.sum(sv * sv > 1e-9 * sv[0] ** 2))
+            U, s, Wh = np.linalg.svd(self.rotated_mean[:, r:], full_matrices=False)
+        with np.errstate(over="ignore"):  # an overflowing power scale keeps nothing
+            scale = max(self.spectrum.eigenvalues[0], np.vdot(self.mean, self.mean).real)
+            q = int(np.sum(s * s > SUPPORT_RTOL * scale))
+        return U[:, :q] * s[:q], Wh[:q]
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """[V^H[:r]; W^H V^H[r:]], shape (r + q) x M: X basis has the law of
+        H for a draw X. It is V^H itself at full rank."""
+        Vh = self.spectrum.eigenvectors.conj().T
+        r, rows = self.support_rank, self._off_support[1]
+        if not rows.shape[0]:
+            return Vh[:r]
+        with linalg.serial_blas():
+            return np.vstack([Vh[:r], rows @ Vh[r:]])
+
+    @property
+    def gram_rank(self) -> int:
+        """r + q, the width of a draw: the dimension of the span of the
+        mean's rows and the range of cov. H H^H is singular almost surely
+        when it is below N."""
+        return self.support_rank + self._off_support[0].shape[1]
 
     @property
     def nonzero_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of cov above 1e-9 times the largest, descending:
-        the spectrum on the directions the perturbation reaches."""
-        eig = self.spectrum.eigenvalues
-        return eig[eig > 1e-9 * float(eig.max(initial=0.0))]
+        """The r eigenvalues of cov in its support, descending."""
+        return self.spectrum.eigenvalues[: self.support_rank]
 
     def is_zero_mean(self) -> bool:
         """No mean entry above 1e-12 max(1, sqrt(tr cov)) in magnitude."""
@@ -244,7 +294,7 @@ def monotonicity_sweep(
 
     positive = rhos > 0.0
     rho_pos = rhos[positive]
-    block = BLOCK_ENTRIES // spec.mean.size  # >= 2 under check_spec_size
+    block = BLOCK_ENTRIES // (spec.n_rx * spec.gram_rank)  # >= 2 under check_spec_size
 
     def evaluate(rng, count):
         vals = np.zeros((count, rhos.size))
@@ -378,7 +428,9 @@ def taylor_gamma2(spec: GapSpec, rho: float) -> float:
     which is the exact value of (rho^2/2) E tr(X^{-1} D X^{-1} D) for
     the centered Gram fluctuation D under fourth-order Gaussian moment
     identities. It vanishes for a deterministic channel (C = 0) and is
-    nonnegative for every spec, consistent with Jensen.
+    nonnegative for every spec, consistent with Jensen. Both traces take
+    O(N M^2): tr(mean^H X^{-1} mean C) as tr(X^{-1} mean C mean^H), and
+    tr(C^2) as sum |C_ij|^2, C being Hermitian.
     """
     rho = check_nonnegative(rho, "rho")
     if rho == 0.0:
@@ -389,15 +441,16 @@ def taylor_gamma2(spec: GapSpec, rho: float) -> float:
         X = np.eye(N) + rho * spec.expected_gram()
         Xi = np.linalg.inv(X)
         t = np.trace(Xi).real
-        quad = np.trace(spec.mean.conj().T @ Xi @ spec.mean @ C).real
-        value = 0.5 * rho * rho * (t * t * np.trace(C @ C).real + 2.0 * t * quad)
+        quad = np.vdot(spec.mean, Xi @ spec.mean @ C).real  # tr(Xi mean C mean^H)
+        value = 0.5 * rho * rho * (t * t * np.vdot(C, C).real + 2.0 * t * quad)
     return _finite(value)
 
 
 def taylor_gamma2_inf_zero_mean(C, N: int) -> float:
     """Infinite-SNR second-order gap for a zero-mean channel.
 
-    (N^2 / 2) tr(C^2) / (tr C)^2, invariant under scaling of C.
+    (N^2 / 2) tr(C^2) / (tr C)^2, invariant under scaling of C, with
+    tr(C^2) taken as sum |C_ij|^2 for the Hermitian C.
     """
     N = check_integer(N, "N")
     C = np.asarray(C, dtype=complex)
@@ -405,7 +458,7 @@ def taylor_gamma2_inf_zero_mean(C, N: int) -> float:
     if not trc > 0.0:
         raise DomainError("tr C must be positive")
     with np.errstate(over="ignore", invalid="ignore"), linalg.serial_blas():  # raised below
-        value = 0.5 * N * N * np.trace(C @ C).real / (trc * trc)
+        value = 0.5 * N * N * np.vdot(C, C).real / (trc * trc)
     return _finite(value)
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DomainError, check_integer, check_nonnegative
 from .gap import GapSpec
+from .linalg import serial_blas
 from .mc import MonteCarloEstimate, check_run, complex_normal
 from .special import expn_scaled, gauss_laguerre
 
@@ -154,9 +155,11 @@ def brute_force_gap(
 ) -> MonteCarloEstimate:
     """Plain single-threaded Monte-Carlo estimate of Gamma(rho).
 
-    One draw per loop iteration, log-det via slogdet, no chunking, no
-    common random numbers, no shared code with gamma_rho. Exists solely
-    to cross-validate the optimized estimator.
+    One draw per loop iteration, H = mean + W S with its own root S of
+    cov from a separate eigh, log-det via slogdet, no chunking, no
+    common random numbers, no shared code with gamma_rho: not the
+    spec's spectrum, support or sampler. Exists solely to
+    cross-validate the optimized estimator.
     """
     rho = check_nonnegative(rho, "rho")
     n_samples, seed, _ = check_run(n_samples, seed)
@@ -166,7 +169,9 @@ def brute_force_gap(
     eye = np.eye(N)
     sign, first = np.linalg.slogdet(eye + rho * spec.expected_gram())
     rng = np.random.default_rng(seed)
-    S = spec.cov_sqrt
+    with serial_blas():
+        w, V = np.linalg.eigh(spec.cov)
+        S = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
     vals = np.empty(n_samples)
     for i in range(n_samples):
         H = spec.mean + complex_normal(rng, spec.mean.shape) @ S

@@ -8,7 +8,9 @@ on the true expected rate from the surrogate alone.
 
 The Monte-Carlo EWSR shares its sampler and its kernels with the gap
 estimator: each user's precoded channels are drawn with
-GapSpec.draw, in the eigenbasis of the stream covariance, their Grams
+GapSpec.draw, in the eigenbasis of the stream covariance and only on
+its support (plus the mean's fixed columns outside it), mapped back to
+the user's own streams by GapSpec.basis, their Grams
 formed by linalg.gram and their log-dets taken by
 linalg.gram_log_rates, the kernel that also takes the ESEI's log-dets
 of the expected Grams. The "monte-carlo-high-snr" gap limit samples
@@ -87,13 +89,14 @@ class SandwichBound:
 def _rate_terms(X: np.ndarray, own_basis: np.ndarray | None):
     """Signal and interference terms of one user for a batch of draws.
 
-    X (n, N, D) holds draws F V of the precoded channels F = [H_kj G_j]_j
-    in the eigenbasis V of their stream covariance (GapSpec.draw), and
-    own_basis = V^H[:, own] maps them back to the user's own columns.
-    The signal Gram is X X^H = F F^H; the interference Gram drops the
-    own streams, X X^H - F_own F_own^H with F_own = X V^H[:, own]. A
-    user whose own streams are all the columns has own_basis None and
-    an interference Gram of exactly zero. Returns ln|I + .| of both.
+    X (n, N, r + q) holds draws of the precoded channels
+    F = [H_kj G_j]_j from their stream spec (GapSpec.draw), and
+    own_basis = basis[:, own] maps them to the user's own columns:
+    X basis has the law of F. The signal Gram is X X^H, with the law of
+    F F^H; the interference Gram drops the own streams, X X^H -
+    F_own F_own^H with F_own = X basis[:, own]. A user whose own streams
+    are all the columns has own_basis None and an interference Gram of
+    exactly zero. Returns ln|I + .| of both.
     """
     S = linalg.gram(X)
     intf = np.zeros_like(S) if own_basis is None else S - linalg.gram(X @ own_basis)
@@ -144,9 +147,7 @@ def _term_evaluator(specs, weights):
     """
     K = len(specs)
     own_bases = [
-        None
-        if own == slice(0, spec.mean.shape[1])
-        else spec.spectrum.eigenvectors.conj().T[:, own]
+        None if own == slice(0, spec.mean.shape[1]) else spec.basis[:, own]
         for spec, own in specs
     ]
 

@@ -54,6 +54,20 @@ def _massive_spec():
     return GapSpec(mean=_mean(np.random.default_rng(32), 4, 256), cov=exp_profile_cov(256))
 
 
+def _zero_mean_rank_deficient_spec():
+    """Zero mean, rank-3 PSD covariance on M = 8, N = 2."""
+    B = _mean(np.random.default_rng(33), 8, 3)
+    return GapSpec(mean=np.zeros((2, 8)), cov=B @ B.conj().T)
+
+
+def _rank_one_spec_with_outside_mean():
+    """N = 2, M = 5: a rank-one covariance, so H H^H is nonsingular only
+    through the mean, whose rows reach outside the covariance's range."""
+    rng = np.random.default_rng(34)
+    b = _mean(rng, 5, 1)
+    return GapSpec(mean=0.6 * _mean(rng, 2, 5), cov=b @ b.conj().T)
+
+
 SAMPLER_SPECS = [_correlated_spec, _rank_deficient_spec]
 
 
@@ -457,6 +471,19 @@ class TestTaylorGamma2:
         lim = taylor_gamma2_inf_zero_mean(C, 2)
         assert taylor_gamma2(spec, 1e9) == pytest.approx(lim, rel=1e-6)
 
+    @pytest.mark.parametrize("make", SAMPLER_SPECS + [_massive_spec])
+    def test_traces_match_the_cubic_products(self, make):
+        # tr(mean^H Xi mean C) and tr(C C) as two M x M products
+        spec, rho = make(), 3.0
+        C, m = spec.cov, spec.mean
+        Xi = np.linalg.inv(np.eye(spec.n_rx) + rho * spec.expected_gram())
+        t = np.trace(Xi).real
+        quad = np.trace(m.conj().T @ Xi @ m @ C).real
+        want = 0.5 * rho * rho * (t * t * np.trace(C @ C).real + 2.0 * t * quad)
+        assert taylor_gamma2(spec, rho) == pytest.approx(want, rel=1e-12)
+        want_inf = 0.5 * 4 * np.trace(C @ C).real / np.trace(C).real ** 2
+        assert taylor_gamma2_inf_zero_mean(C, 2) == pytest.approx(want_inf, rel=1e-12)
+
     def test_zero_mean_limit_values(self):
         for M in (1, 2, 16):
             assert taylor_gamma2_inf_zero_mean(np.eye(M), 1) == pytest.approx(
@@ -517,32 +544,42 @@ class TestEigenbasisSampler:
 
     @pytest.mark.parametrize("make", SAMPLER_SPECS + [_massive_spec])
     def test_draw_layout(self, make):
-        # one complex_normal call of the mean's shape per sample, scaled
-        # by the roots of the eigenvalues and shifted by mean V, which is
-        # computed once per spec
+        # one complex_normal call of N x r per sample, scaled by the roots
+        # of the r support eigenvalues and shifted by mean V, which is
+        # computed once per spec; at full rank (r = M) that is the mean's
+        # shape and the whole draw, and past r come the fixed columns U s
         spec = make()
+        r, (N, M) = spec.support_rank, spec.mean.shape
+        assert r == (2 if make is _rank_deficient_spec else M)
         X = spec.draw(chunk_stream(3, 0), 7)
-        W = complex_normal(chunk_stream(3, 0), (7,) + spec.mean.shape)
+        W = complex_normal(chunk_stream(3, 0), (7, N, r))
         mean_v = spec.mean @ spec.spectrum.eigenvectors
-        assert np.array_equal(X, W * spec.spectrum.roots() + mean_v)
+        assert np.array_equal(X[..., :r], W * spec.spectrum.roots()[:r] + mean_v[:, :r])
         assert spec.rotated_mean is spec.rotated_mean
         assert np.array_equal(spec.rotated_mean, mean_v)
+        fixed = X[:, :, r:]
+        assert X.shape == (7, N, spec.gram_rank) and np.all(fixed == fixed[0])
+        if r == M:
+            assert np.array_equal(X, W * spec.spectrum.roots() + mean_v)
+            assert np.array_equal(spec.basis, spec.spectrum.eigenvectors.conj().T)
 
     def test_zero_mean_draw_is_unshifted(self):
         spec = GapSpec(mean=np.zeros((2, 3)), cov=exp_profile_cov(3, 0.4))
         W = complex_normal(chunk_stream(5, 0), (9, 2, 3))
         assert np.array_equal(spec.draw(chunk_stream(5, 0), 9), W * spec.spectrum.roots())
 
-    @pytest.mark.parametrize("make", SAMPLER_SPECS)
+    @pytest.mark.parametrize("make", SAMPLER_SPECS + [_zero_mean_rank_deficient_spec])
     def test_draws_have_the_law_of_h_v(self, make):
-        # E X = mean V and E X^H X / N = diag(lambda) + V^H mean^H mean V / N
+        # Y = X basis V has the law of H V: E Y = mean V and
+        # E Y^H Y / N = diag(lambda) + V^H mean^H mean V / N
         spec = make()
         n = 40_000
-        X = spec.draw(chunk_stream(6, 0), n)
         V, lam = spec.spectrum.eigenvectors, spec.spectrum.eigenvalues
+        X = spec.draw(chunk_stream(6, 0), n)
+        Y = X @ (spec.basis @ V)
         mean_v = spec.mean @ V
-        assert np.abs(X.mean(axis=0) - mean_v).max() <= 5 * np.sqrt(lam.max() / n)
-        second = np.einsum("nij,nik->jk", X.conj(), X) / (n * spec.n_rx)
+        assert np.abs(Y.mean(axis=0) - mean_v).max() <= 5 * np.sqrt(lam.max() / n)
+        second = np.einsum("nij,nik->jk", Y.conj(), Y) / (n * spec.n_rx)
         want = np.diag(lam) + mean_v.conj().T @ mean_v / spec.n_rx
         assert np.abs(second - want).max() <= 0.05 * (lam.max() + np.abs(want).max())
 
@@ -567,6 +604,84 @@ class TestEigenbasisSampler:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="overflow"):
                 gamma_rho(spec, rho, 5000, 0, workers=2)
+
+
+class TestRankReducedDraws:
+    """A spec whose covariance has rank r < M draws N x r normals a sample
+    and carries the mean's part outside the support as q fixed columns."""
+
+    @pytest.mark.parametrize("make, r, q", [
+        (_zero_mean_rank_deficient_spec, 3, 0),
+        (_rank_deficient_spec, 2, 2),
+        (_rank_one_spec_with_outside_mean, 1, 2),
+    ])
+    def test_width_basis_and_fixed_columns(self, make, r, q):
+        spec = make()
+        N, M = spec.mean.shape
+        assert (spec.support_rank, spec.gram_rank) == (r, r + q)
+        assert np.array_equal(spec.nonzero_eigenvalues, spec.spectrum.eigenvalues[:r])
+        X = spec.draw(chunk_stream(8, 0), 5)
+        assert X.shape == (5, N, r + q) and spec.basis.shape == (r + q, M)
+        # orthonormal rows, and the draw's mean [mean V_r, U s] maps to the mean
+        assert np.allclose(spec.basis @ spec.basis.conj().T, np.eye(r + q), atol=1e-13)
+        fixed = X[0, :, r:]
+        assert np.all(X[:, :, r:] == fixed)
+        assert np.allclose(
+            np.hstack([spec.rotated_mean[:, :r], fixed]) @ spec.basis, spec.mean, atol=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "make", [_zero_mean_rank_deficient_spec, _rank_deficient_spec,
+                 _rank_one_spec_with_outside_mean],
+    )
+    def test_x_basis_has_the_first_two_moments_of_h(self, make):
+        # E X basis = mean, E (X basis - mean)^H (X basis - mean) = N cov
+        # and E X X^H = E H H^H, each within 5 standard errors
+        spec = make()
+        n = 40_000
+        X = spec.draw(chunk_stream(9, 0), n)
+        H = X @ spec.basis
+        D = H - spec.mean
+        se = np.sqrt(np.trace(spec.cov).real / n)
+        assert np.abs(H.mean(axis=0) - spec.mean).max() <= 5 * se
+        outer = np.einsum("nij,nik->njk", D.conj(), D)
+        gram = np.einsum("nij,nkj->nik", X, X.conj())
+        for samples, want in ((outer, spec.n_rx * spec.cov), (gram, spec.expected_gram())):
+            err = np.abs(samples.mean(axis=0) - want)
+            assert np.all(err <= 5 * samples.std(axis=0) / np.sqrt(n) + 1e-12)
+
+    @pytest.mark.parametrize(
+        "make", SAMPLER_SPECS + [_massive_spec, _zero_mean_rank_deficient_spec,
+                                 _rank_one_spec_with_outside_mean],
+    )
+    def test_gram_rank_is_the_rank_of_the_stacked_span(self, make):
+        # the span of the mean's rows and the range of cov, as the rank of
+        # [mean V; diag(sqrt(lambda))] with the former SVD cut
+        spec = make()
+        rows = np.vstack([spec.rotated_mean, np.diag(spec.spectrum.roots())])
+        sv = np.linalg.svd(rows, compute_uv=False)
+        assert spec.gram_rank == int(np.sum(sv * sv > 1e-9 * sv[0] ** 2))
+
+    def test_support_is_computed_on_first_use_and_full_rank_needs_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("no SVD expected")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        spec = _massive_spec()
+        assert not {"support_rank", "_off_support", "basis"} & set(vars(spec))
+        assert spec.gram_rank == spec.support_rank == 256
+        assert spec.draw(chunk_stream(1, 0), 2).shape == (2, 4, 256)
+
+    @pytest.mark.parametrize("rho", [1.0, 1e3])
+    def test_gamma_rho_agrees_with_brute_force_through_the_mean(self, rho):
+        # r = 1 < N = 2 <= r + q: only the fixed columns make H H^H
+        # nonsingular; the brute force reads neither spectrum nor support
+        spec = _rank_one_spec_with_outside_mean()
+        assert spec.support_rank < spec.n_rx <= spec.gram_rank
+        est = gamma_rho(spec, rho, 20_000, 40)
+        spec.spectrum = None
+        ref = brute_force_gap(spec, rho, 4000, 41)
+        assert abs(est.value - ref.value) <= 5.0 * np.hypot(est.std_error, ref.std_error)
 
 
 class TestMonotonicitySweep:

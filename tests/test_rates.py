@@ -8,17 +8,19 @@ from ewsrgap.channel import (
     exp_profile_cov,
     load_demo_bundle,
     sample_channel,
+    stream_spec,
     uniform_power_precoders,
 )
 from ewsrgap.errors import DimensionMismatch, DomainError, UnsupportedCase
 from ewsrgap.gap import GapSpec, gamma_rho
-from ewsrgap.mc import complex_normal
+from ewsrgap.mc import complex_normal, vector_stats
 from ewsrgap.oracle import exact_e_log_miso_iid
 from ewsrgap.rates import (
     AUTO_METHODS,
     GAP_METHODS,
     Z_HIGH_SNR,
     SandwichBound,
+    _rate_terms,
     _term_specs,
     esei_terms,
     esei_wsr,
@@ -170,6 +172,33 @@ def _rank_deficient_streams(seed=6):
     return sc, _spend_budgets(
         sc, [complex_normal(rng, (sc.bs_antennas[u.serving_bs], u.streams)) for u in users]
     )
+
+
+def _multicell_uniform(seed=0, cells=3, per_cell=4, M=8):
+    """cells x per_cell two-antenna single-stream users, zero means and
+    random transmit correlations (gain 1 from the serving cell, 0.3
+    from the others), under uniform_power_precoders: every user of a
+    cell gets its beam e_1, so every stream spec has rank `cells`."""
+    rng = np.random.default_rng(seed)
+
+    def correlation(gain):
+        A = complex_normal(rng, (M, M))
+        C = A @ A.conj().T
+        return gain * M * C / np.trace(C).real
+
+    users = [
+        UserConfig(serving_bs=k // per_cell, rx_antennas=2, streams=1, rate_weight=1.0)
+        for k in range(cells * per_cell)
+    ]
+    links = [
+        [GapSpec(np.zeros((2, M)), correlation(1.0 if j == u.serving_bs else 0.3))
+         for j in range(cells)]
+        for u in users
+    ]
+    sc = IbcScenario(
+        bs_antennas=[M] * cells, users=users, power_budgets=[10.0] * cells, links=links
+    )
+    return sc, uniform_power_precoders(sc)
 
 
 def _means(sc):
@@ -355,6 +384,77 @@ class TestEwsrMonteCarlo:
         assert close(wsr, total)
         for k, (s, i) in enumerate(terms):
             assert close(sig[k], s) and close(intf[k], i)
+
+    def test_multicell_rank_deficient_streams_match_per_link_brute_force(self):
+        # every stream spec is 12 wide with rank 3 and zero mean, so each
+        # user draws 2 x 3 normals a sample; the brute force draws every
+        # link whole, user by user
+        sc, ps = _multicell_uniform(seed=11)
+        for spec, _ in _term_specs(sc, ps):
+            assert (spec.mean.shape[1], spec.support_rank, spec.gram_rank) == (12, 3, 3)
+        n = 20_000
+        rng = np.random.default_rng(79)
+        drawn = {}
+
+        def grams(k, j, Q):
+            if (k, j) not in drawn:
+                if drawn and next(iter(drawn))[0] != k:
+                    drawn.clear()  # keep one user's links at a time
+                link = sc.links[k][j]
+                drawn[k, j] = complex_normal(rng, (n,) + link.mean.shape) @ link.cov_sqrt
+            H = drawn[k, j]
+            return H @ Q @ np.conj(np.swapaxes(H, 1, 2))
+
+        terms = _per_link_terms(sc, ps, grams)
+        total = sum(u.rate_weight * (s - i) for u, (s, i) in zip(sc.users, terms))
+
+        def close(est, samples):
+            se = samples.std(ddof=1) / np.sqrt(n)
+            return abs(est.value - samples.mean()) <= 5 * np.hypot(est.std_error, se)
+
+        wsr, sig, intf = user_term_estimates(sc, ps, n, 5)
+        assert close(wsr, total)
+        for k, (s, i) in enumerate(terms):
+            assert close(sig[k], s) and close(intf[k], i)
+
+    def test_multicell_rank_deficient_streams_worker_count_bit_identical(self):
+        sc, ps = _multicell_uniform(seed=12)
+        a = user_term_estimates(sc, ps, 3 * 4096 + 5, 6, workers=1)
+        b = user_term_estimates(sc, ps, 3 * 4096 + 5, 6, workers=3)
+        assert a == b
+
+    @pytest.mark.parametrize(
+        "make", [_two_cell_rician, _two_user_mimo_random, lambda: load_demo_bundle()[:2]],
+        ids=["two-cell-rician", "two-user-mimo", "demo"],
+    )
+    def test_full_rank_streams_keep_the_whole_width_draws(self, make):
+        # where every stream spec has full rank, the estimate is bit for
+        # bit that of drawing mean V + W diag(sqrt(lambda)) over all M
+        # columns and mapping the own streams back with V^H[:, own]
+        sc, ps = make()
+        specs = [stream_spec(sc, ps, k) for k in range(sc.n_users)]
+        assert all(spec.support_rank == spec.mean.shape[1] for spec, _ in specs)
+        K = len(specs)
+
+        def whole_width(rng, count):
+            out = np.zeros((count, 1 + 2 * K))
+            for k, ((spec, own), u) in enumerate(zip(specs, sc.users)):
+                V = spec.spectrum.eigenvectors
+                X = complex_normal(rng, (count,) + spec.mean.shape)
+                X *= spec.spectrum.roots()
+                if np.any(spec.mean):
+                    X += spec.mean @ V
+                whole = own == slice(0, spec.mean.shape[1])
+                sig, intf = _rate_terms(X, None if whole else V.conj().T[:, own])
+                out[:, 1 + k], out[:, 1 + K + k] = sig, intf
+                out[:, 0] += u.rate_weight * (sig - intf)
+            return out
+
+        mean, se, _ = vector_stats(4096 + 9, 3, whole_width)
+        got = ewsr_monte_carlo(sc, ps, 4096 + 9, 3)
+        assert (got.value, got.std_error) == (mean[0], se[0])
+        _, sig, intf = user_term_estimates(sc, ps, 4096 + 9, 3)
+        assert [e.value for e in sig + intf] == mean[1:].tolist()
 
     def test_matches_per_link_brute_force(self):
         # an estimator that draws every link separately, with its own stream
