@@ -20,7 +20,6 @@ from .channel import (
     load_bundle,
     load_demo_bundle,
     load_scenario,
-    sample_channel,
     save_scenario,
     stream_spec,
     uniform_power_precoders,
@@ -51,7 +50,6 @@ from .gap import (
 from .linalg import (
     HermitianSpectrum,
     hermitian_eig,
-    hermitian_sqrt,
 )
 from .mc import MonteCarloEstimate, chunk_stream, complex_normal, vector_stats
 from .oracle import (
@@ -77,7 +75,6 @@ from .special import (
     expn_scaled,
     gauss_laguerre,
     harmonic,
-    sample_gamma,
 )
 from .verify import random_zero_mean_scenario, run_suite
 
@@ -91,7 +88,6 @@ __all__ = [
     "load_bundle",
     "load_demo_bundle",
     "load_scenario",
-    "sample_channel",
     "save_scenario",
     "stream_spec",
     "uniform_power_precoders",
@@ -116,7 +112,6 @@ __all__ = [
     "taylor_gamma2_inf_zero_mean",
     "HermitianSpectrum",
     "hermitian_eig",
-    "hermitian_sqrt",
     "MonteCarloEstimate",
     "chunk_stream",
     "complex_normal",
@@ -139,7 +134,6 @@ __all__ = [
     "expn_scaled",
     "gauss_laguerre",
     "harmonic",
-    "sample_gamma",
     "random_zero_mean_scenario",
     "run_suite",
 ]

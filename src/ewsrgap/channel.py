@@ -31,14 +31,6 @@ from .errors import (
 )
 from .gap import GapSpec, check_spec_size
 from .linalg import serial_blas
-from .mc import complex_normal
-
-
-def sample_channel(spec: GapSpec, rng: np.random.Generator) -> np.ndarray:
-    """One channel realization H = mean + W @ sqrt(cov)."""
-    W = complex_normal(rng, spec.mean.shape)
-    with serial_blas():
-        return spec.mean + W @ spec.cov_sqrt
 
 
 def exp_profile_cov(M: int, r: float = 0.5) -> np.ndarray:
@@ -228,21 +220,30 @@ def stream_spec(scenario: IbcScenario, precoders: PrecoderSet, k: int):
     k = check_integer(k, "user index", None)
     if not (0 <= k < scenario.n_users):
         raise IndexOutOfRange(f"user index {k} out of range")
+    return _stream_specs(scenario, precoders, [k])[0]
+
+
+def _stream_specs(scenario: IbcScenario, precoders: PrecoderSet, users):
+    """stream_spec of every user index in users, after one check of the
+    precoders and one pass over the serving cells."""
     check_precoders(scenario, precoders)
     cells, own = _served_cells(scenario, precoders)
-    links = scenario.links[k]
-    with np.errstate(over="ignore", invalid="ignore"), serial_blas():  # overflow is raised below
-        blocks = [G.conj().T @ links[j].cov @ G for j, G in cells]
-        mean = np.concatenate([links[j].mean @ G for j, G in cells], axis=1)
-    width = sum(B.shape[0] for B in blocks)
-    cov = np.zeros((width, width), dtype=complex)
-    start = 0
-    for B in blocks:
-        cov[start : start + B.shape[0], start : start + B.shape[0]] = B
-        start += B.shape[0]
-    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-        raise DomainError(f"precoded links of user {k} overflow the float range")
-    return GapSpec(mean, cov), own[k]
+    specs = []
+    for k in users:
+        links = scenario.links[k]
+        with np.errstate(over="ignore", invalid="ignore"), serial_blas():  # raised below
+            blocks = [G.conj().T @ links[j].cov @ G for j, G in cells]
+            mean = np.concatenate([links[j].mean @ G for j, G in cells], axis=1)
+        width = sum(B.shape[0] for B in blocks)
+        cov = np.zeros((width, width), dtype=complex)
+        start = 0
+        for B in blocks:
+            cov[start : start + B.shape[0], start : start + B.shape[0]] = B
+            start += B.shape[0]
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise DomainError(f"precoded links of user {k} overflow the float range")
+        specs.append((GapSpec(mean, cov), own[k]))
+    return specs
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +452,7 @@ def save_scenario(scenario: IbcScenario, path, precoders: PrecoderSet | None = N
         "links": [
             [
                 {
-                    "mean": None
-                    if not np.any(link.mean)
-                    else _encode_matrix(link.mean),
+                    "mean": None if link.is_zero_mean() else _encode_matrix(link.mean),
                     "cov_t": _encode_matrix(link.cov),
                 }
                 for link in row

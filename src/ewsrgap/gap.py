@@ -67,7 +67,8 @@ BLOCK_ENTRIES = 2**16
 
 # Eigenvalues of a covariance at or below SUPPORT_RTOL times the largest,
 # and the mean's singular values outside their support at or below it in
-# power, count as zero: the one cut that sets the support of a GapSpec.
+# power, count as zero: the one relative cut, which sets the support
+# (r and q) of a GapSpec and nothing else.
 SUPPORT_RTOL = 1e-9
 
 # The error target and the strip half-width of e_log_quadform.
@@ -97,10 +98,15 @@ class GapSpec:
     perturbation; both must hold finite numbers. It describes a
     scenario's links as well as the effective channels whose
     Gram-log-det gap is studied. ``spectrum`` is the one
-    eigendecomposition of cov; the square root, the support (r, q,
-    ``basis``) and the eigenbasis sampler ``draw`` all come from it.
-    The support is computed on first use, so building a spec costs
-    the eigendecomposition alone.
+    eigendecomposition of cov; the support (r, q, ``basis``) and the
+    eigenbasis sampler ``draw`` come from it. The support is computed
+    on first use, so building a spec costs the eigendecomposition alone.
+
+    The spec alone decides what is zero, and its callers compute no
+    trace or tolerance of their own: it is deterministic when its
+    support is empty (``support_rank`` 0), and zero-mean when every
+    mean entry is exactly 0 (``is_zero_mean``). SUPPORT_RTOL is the
+    one relative cut, and it sets r and q only.
     """
 
     mean: np.ndarray
@@ -121,11 +127,6 @@ class GapSpec:
     @property
     def n_rx(self) -> int:
         return self.mean.shape[0]
-
-    @cached_property
-    def cov_sqrt(self) -> np.ndarray:
-        """The Hermitian root of cov, bit for bit linalg.hermitian_sqrt(cov)."""
-        return self.spectrum.sqrt()
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """count draws of [mean V_r + W diag(sqrt(lambda_r)), U s], shape
@@ -167,7 +168,7 @@ class GapSpec:
         s^2 above SUPPORT_RTOL times max(lambda_max, ||mean||_F^2). U s is
         N x q, W^H is q x (M - r); q = 0 for a zero mean or a full rank."""
         r, (N, M) = self.support_rank, self.mean.shape
-        if r == M or not np.any(self.mean):
+        if r == M or self.is_zero_mean():
             return np.zeros((N, 0), dtype=complex), np.zeros((0, M - r), dtype=complex)
         with linalg.serial_blas():
             U, s, Wh = np.linalg.svd(self.rotated_mean[:, r:], full_matrices=False)
@@ -200,9 +201,8 @@ class GapSpec:
         return self.spectrum.eigenvalues[: self.support_rank]
 
     def is_zero_mean(self) -> bool:
-        """No mean entry above 1e-12 max(1, sqrt(tr cov)) in magnitude."""
-        scale = np.sqrt(max(np.trace(self.cov).real, 0.0))
-        return float(np.max(np.abs(self.mean))) <= 1e-12 * max(scale, 1.0)
+        """Every mean entry is exactly zero: the one zero-mean rule."""
+        return not np.any(self.mean)
 
     def expected_gram(self) -> np.ndarray:
         """E H H^H = mean mean^H + tr(cov) I; DomainError when it overflows."""
@@ -283,8 +283,8 @@ def monotonicity_sweep(
 
     first = _esei_term(spec, rhos)
 
-    # Deterministic channel: both terms coincide at every rho.
-    if np.trace(spec.cov).real <= 0.0:
+    # A deterministic spec (empty support): both terms coincide at every rho.
+    if spec.support_rank == 0:
         ests = [
             MonteCarloEstimate(0.0, 0.0, n_samples, seed, rho=float(r)) for r in rhos
         ]

@@ -124,21 +124,9 @@ class HermitianSpectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        V = self.eigenvectors
-        with serial_blas():
-            return (V * self.eigenvalues) @ V.conj().T
-
     def roots(self) -> np.ndarray:
         """Square roots of the eigenvalues, negative ones clipped to zero."""
         return np.sqrt(np.clip(self.eigenvalues, 0.0, None))
-
-    def sqrt(self) -> np.ndarray:
-        """The Hermitian root V diag(roots) V^H, exactly Hermitian."""
-        V = self.eigenvectors
-        with serial_blas():
-            S = (V * self.roots()) @ V.conj().T
-        return 0.5 * (S + S.conj().T)
 
 
 def hermitian_eig(A) -> HermitianSpectrum:
@@ -163,8 +151,8 @@ def psd_eig(C) -> HermitianSpectrum:
     """Eigendecomposition of a Hermitian PSD matrix, as hermitian_eig.
 
     Eigenvalues in [-PSD_RTOL * max|C|, 0) are treated as roundoff
-    (``roots`` and ``sqrt`` clamp them to zero); anything more negative
-    raises IndefiniteMatrix.
+    (``roots`` clamps them to zero); anything more negative raises
+    IndefiniteMatrix.
     """
     C = _as_square(C)
     spec = hermitian_eig(C)
@@ -175,11 +163,6 @@ def psd_eig(C) -> HermitianSpectrum:
             f"matrix has eigenvalue {w.min():.3e} below -{tol:.3e}, not PSD"
         )
     return spec
-
-
-def hermitian_sqrt(C) -> np.ndarray:
-    """Hermitian PSD square root S with S @ S == C; see psd_eig."""
-    return psd_eig(C).sqrt()
 
 
 def gram(X: np.ndarray) -> np.ndarray:

@@ -16,6 +16,11 @@ linalg.gram_log_rates, the kernel that also takes the ESEI's log-dets
 of the expected Grams. The "monte-carlo-high-snr" gap limit samples
 Gamma(inf) itself, with gamma_rho at rho = +inf, and returns it plus
 Z_HIGH_SNR standard errors.
+
+What is zero is the spec's to say, by one rule (see GapSpec): a spec
+with an empty support is deterministic and its gap limit is 0, and the
+zero-mean limits apply only to an exactly zero mean. Nothing here takes
+a trace or a tolerance of its own to decide either.
 """
 
 from __future__ import annotations
@@ -25,11 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from .channel import (
-    IbcScenario,
-    PrecoderSet,
-    stream_spec,
-)
+from .channel import IbcScenario, PrecoderSet, _stream_specs
 from .errors import DimensionMismatch, DomainError, UnsupportedCase
 from .gap import (
     GapSpec,
@@ -112,7 +113,7 @@ def _split(spec: GapSpec, own: slice):
 
 def _term_specs(scenario, precoders):
     """Per user, the (signal, interference) specs of the ESEI and the sandwich."""
-    return [_split(*stream_spec(scenario, precoders, k)) for k in range(scenario.n_users)]
+    return [_split(*pair) for pair in _stream_specs(scenario, precoders, range(scenario.n_users))]
 
 
 def wsr_realization(scenario: IbcScenario, precoders: PrecoderSet, channels) -> float:
@@ -176,10 +177,11 @@ def ewsr_monte_carlo(
     Deterministic given (seed, n_samples) for any worker count. When
     every link has zero covariance the channel is deterministic and its
     exact value, the surrogate esei_wsr (the realization at the mean),
-    is returned with zero standard error.
+    is returned with zero standard error. A link has zero covariance
+    when its support is empty (GapSpec.support_rank 0).
     """
     n_samples, seed, workers = check_run(n_samples, seed, workers)
-    if all(np.trace(link.cov).real <= 0.0 for row in scenario.links for link in row):
+    if all(link.support_rank == 0 for row in scenario.links for link in row):
         return MonteCarloEstimate(esei_wsr(scenario, precoders), 0.0, n_samples, seed)
     return user_term_estimates(scenario, precoders, n_samples, seed, workers)[0]
 
@@ -197,7 +199,7 @@ def user_term_estimates(
     term lists hold one MonteCarloEstimate per user, all evaluated on
     the same channel draws as ewsr_monte_carlo with the same seed.
     """
-    specs = [stream_spec(scenario, precoders, k) for k in range(scenario.n_users)]
+    specs = _stream_specs(scenario, precoders, range(scenario.n_users))
     weights = [u.rate_weight for u in scenario.users]
     K = len(specs)
     mean, se, _ = vector_stats(
@@ -214,29 +216,37 @@ def user_term_estimates(
     )
 
 
+def _esei_of(term_specs):
+    """ln|I + E F F^H| of each (signal, interference) spec pair."""
+    return [tuple(float(_esei_term(s, [1.0])[0]) for s in pair) for pair in term_specs]
+
+
+def _weighted_sum(scenario: IbcScenario, terms) -> float:
+    """sum_k u_k (signal_k - interference_k), in user order."""
+    total = 0.0
+    for u, (sig, intf) in zip(scenario.users, terms):
+        total += u.rate_weight * (sig - intf)
+    return total
+
+
 def esei_terms(scenario: IbcScenario, precoders: PrecoderSet):
     """Per-user (signal, interference) terms with expectations inside.
 
     ln|I + E F F^H| for the signal and the interference spec of each
     user, E F F^H being the mean part plus tr(cov) I.
     """
-    return [
-        tuple(float(_esei_term(s, [1.0])[0]) for s in specs)
-        for specs in _term_specs(scenario, precoders)
-    ]
+    return _esei_of(_term_specs(scenario, precoders))
 
 
 def esei_wsr(scenario: IbcScenario, precoders: PrecoderSet) -> float:
     """Surrogate weighted sum rate with expectations moved inside the logs."""
-    total = 0.0
-    for u, (sig, intf) in zip(scenario.users, esei_terms(scenario, precoders)):
-        total += u.rate_weight * (sig - intf)
-    return total
+    return _weighted_sum(scenario, esei_terms(scenario, precoders))
 
 
 def _closed_form_limit(eff: GapSpec, n_samples, seed, workers) -> float:
-    """Exact limit: i.i.d. MIMO for a zero-mean spec with at least N equal
-    nonzero eigenvalues, else for N = 1 ln E x - E ln x of x = ||h||^2."""
+    """Exact limit: i.i.d. MIMO for a zero-mean spec (GapSpec.is_zero_mean,
+    exactly zero; the form is derived for no other mean) with at least N
+    equal nonzero eigenvalues, else for N = 1 ln E x - E ln x of x = ||h||^2."""
     lam, N = eff.nonzero_eigenvalues, eff.n_rx
     if eff.is_zero_mean() and lam.max() / lam.min() - 1.0 <= 1e-9 and lam.size >= N:
         return gamma_inf_mimo_iid(lam.size, N)
@@ -268,14 +278,15 @@ def _gamma_limit(eff: GapSpec, method: str, n_samples: int, seed: int, workers: 
 
     Returns (value, tag). "auto" returns the first method of AUTO_METHODS
     that does not raise UnsupportedCase; an explicit method raises it.
-    Under every method a spec without covariance has the limit 0, and one
-    whose H H^H is singular almost surely +inf, tagged "unbounded".
+    Under every method a deterministic spec (empty support,
+    GapSpec.support_rank 0) has the limit 0, and one whose H H^H is
+    singular almost surely +inf, tagged "unbounded". Any covariance with
+    a nonempty support, however small against the mean, gets a limit
+    from the method.
     """
     if method != "auto" and method not in GAP_METHODS:
         raise DomainError(f"gamma_method must be one of auto, {', '.join(GAP_METHODS)}")
-    trc = float(np.trace(eff.cov).real)
-    scale = max(1.0, float(np.max(np.abs(eff.mean)) ** 2)) if eff.mean.size else 1.0
-    if trc <= 1e-14 * scale:
+    if eff.support_rank == 0:
         return 0.0, GAP_METHODS[0]
     if eff.gram_rank < eff.n_rx:
         return np.inf, "unbounded"
@@ -307,9 +318,10 @@ def sandwich_bounds(
     when requested), but they are checked by mc.check_run in any case.
     """
     n_samples, seed, workers = check_run(n_samples, seed, workers)
-    esei = esei_wsr(scenario, precoders)
+    term_specs = _term_specs(scenario, precoders)
+    esei = _weighted_sum(scenario, _esei_of(term_specs))
     gammas_k, gammas_kbar, methods = [], [], []
-    for k, (sig, intf) in enumerate(_term_specs(scenario, precoders)):
+    for k, (sig, intf) in enumerate(term_specs):
         g_sig, tag_sig = _gamma_limit(sig, gamma_method, n_samples, seed + 2 * k, workers)
         g_int, tag_int = _gamma_limit(
             intf, gamma_method, n_samples, seed + 2 * k + 1, workers

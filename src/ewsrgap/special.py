@@ -1,10 +1,10 @@
 """Special functions and quadrature backing the closed-form gap limits.
 
 Euler's constant, harmonic numbers, the exponential integrals E1 and
-E_n (and their scaled forms), Gauss-Laguerre rules, and Gamma-variate
-sampling. These are the only pieces of classical analysis the rest of
-the package relies on, so they are kept together, built on numpy and
-the standard library alone, and tested against independent identities.
+E_n (and their scaled forms) and Gauss-Laguerre rules. These are the
+only pieces of classical analysis the rest of the package relies on,
+so they are kept together, built on numpy and the standard library
+alone, and tested against independent identities.
 """
 
 from __future__ import annotations
@@ -241,23 +241,3 @@ def _laguerre(n: int, x: np.ndarray):
         L, diff, log_scale = L / top, diff / top, log_scale + np.log(top)
     return L, diff, log_scale
 
-
-def sample_gamma(shape: float, rng: np.random.Generator) -> float:
-    """One draw from Gamma(shape, scale=1).
-
-    Parameters
-    ----------
-    shape : float
-        Shape parameter, strictly positive. Gamma(m, 1) equals
-        (1/2) chi^2 with 2m degrees of freedom.
-    rng : numpy.random.Generator
-        Caller-owned stream; this call advances it.
-
-    Returns
-    -------
-    float
-    """
-    shape = float(shape)
-    if not shape > 0.0:
-        raise DomainError(f"sample_gamma requires shape > 0, got {shape}")
-    return float(rng.standard_gamma(shape))

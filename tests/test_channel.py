@@ -12,7 +12,6 @@ from ewsrgap.channel import (
     load_cov_file,
     load_demo_bundle,
     load_scenario,
-    sample_channel,
     save_scenario,
     stream_spec,
     uniform_power_precoders,
@@ -35,19 +34,48 @@ def _random_psd(rng, n, scale=1.0):
     return scale * C / np.trace(C).real * n
 
 
+def link_draws(link, rng, n):
+    """n reference draws of a link, mean + W S, with S the Hermitian root
+    of cov from a separate eigh: independent of the spectrum, support and
+    sampler of the GapSpec under test."""
+    w, V = np.linalg.eigh(link.cov)
+    S = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
+    return link.mean + complex_normal(rng, (n,) + link.mean.shape) @ S
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
 
 
+def _sampled(spec, rng, n):
+    """n channels drawn as the package draws them: spec.draw(rng, n) @ basis."""
+    return spec.draw(rng, n) @ spec.basis
+
+
+def _assert_moment(samples, target, z):
+    """The sample mean of samples is target within z standard errors
+    (plus a roundoff floor), entry by entry, real and imaginary parts."""
+    emp = samples.mean(axis=0)
+    floor = 1e-12 * np.abs(target).max()
+    n = samples.shape[0]
+    se_re = samples.real.std(axis=0, ddof=1) / np.sqrt(n)
+    se_im = samples.imag.std(axis=0, ddof=1) / np.sqrt(n)
+    assert np.all(np.abs(emp.real - target.real) <= z * se_re + floor)
+    assert np.all(np.abs(emp.imag - target.imag) <= z * se_im + floor)
+
+
 class TestChannelDistribution:
-    """Links are GapSpec instances sampled by sample_channel."""
+    """Links are GapSpec instances, sampled as GapSpec.draw @ basis: the
+    law that every Monte-Carlo estimate of the package draws."""
 
     def test_zero_cov_samples_equal_mean(self, rng):
         mean = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         spec = GapSpec(mean=mean, cov=np.zeros((3, 3)))
-        for _ in range(5):
-            assert np.array_equal(sample_channel(spec, rng), mean)
+        H = _sampled(spec, rng, 5)
+        assert spec.support_rank == 0 and spec.gram_rank == 2
+        assert all(np.array_equal(h, H[0]) for h in H)
+        assert np.max(np.abs(H[0] - mean)) <= 1e-14 * np.max(np.abs(mean))
 
     def test_shape_checks(self, rng):
         with pytest.raises(DimensionMismatch):
@@ -61,7 +89,7 @@ class TestChannelDistribution:
         C = _random_psd(rng, 3)
         spec = GapSpec(mean=mean, cov=C)
         n = 100_000
-        W = np.stack([sample_channel(spec, rng) - mean for _ in range(n)])
+        W = _sampled(spec, rng, n) - mean
         outer = np.einsum("sij,skj->sik", W, W.conj())
         emp = outer.mean(axis=0)
         target = np.trace(C).real * np.eye(2)
@@ -75,7 +103,7 @@ class TestChannelDistribution:
         C = _random_psd(rng, 3)
         spec = GapSpec(mean=np.zeros((2, 3)), cov=C)
         n = 100_000
-        W = np.stack([sample_channel(spec, rng) for _ in range(n)])
+        W = _sampled(spec, rng, n)
         inner = np.einsum("sji,sjk->sik", W.conj(), W)
         emp = inner.mean(axis=0)
         target = 2 * C
@@ -84,6 +112,23 @@ class TestChannelDistribution:
         se_im = inner.imag.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(emp.real - target.real) <= 3 * se_re + floor)
         assert np.all(np.abs(emp.imag - target.imag) <= 3 * se_im + floor)
+
+    def test_rank_deficient_cov_with_mean_outside_its_range(self, rng):
+        # a rank-2 covariance on M = 5 and a mean that reaches outside its
+        # range: r = 2 random and q = 2 fixed columns per draw. H keeps the
+        # mean, H - mean has both covariances of the law and stays in the
+        # range of cov
+        B = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+        C = B @ B.conj().T
+        mean = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+        spec = GapSpec(mean=mean, cov=C)
+        assert (spec.support_rank, spec.gram_rank) == (2, 4)
+        W = _sampled(spec, rng, 100_000) - mean
+        _assert_moment(W, np.zeros((2, 5)), 3)
+        _assert_moment(np.einsum("sij,skj->sik", W, W.conj()), np.trace(C).real * np.eye(2), 3)
+        _assert_moment(np.einsum("sji,sjk->sik", W.conj(), W), 2 * C, 3)
+        null = np.linalg.eigh(C)[1][:, :3]  # ascending: the three null directions
+        assert np.max(np.abs(W @ null)) <= 1e-12 * np.max(np.abs(W))
 
 
 class TestExpProfileCov:
@@ -290,7 +335,7 @@ class TestExpectedGram:
         for k in range(sc.n_users):
             grams = 0.0
             for j, link in enumerate(sc.links[k]):
-                H = link.mean + complex_normal(rng, (n, 2, sc.bs_antennas[j])) @ link.cov_sqrt
+                H = link_draws(link, rng, n)
                 G = _cell_precoders(sc, ps, j)
                 HG = H @ G
                 grams = grams + HG @ np.conj(np.swapaxes(HG, 1, 2))

@@ -73,9 +73,11 @@ SAMPLER_SPECS = [_correlated_spec, _rank_deficient_spec]
 
 class TestGapSpec:
     @pytest.mark.parametrize("make", SAMPLER_SPECS)
-    def test_cov_sqrt_is_hermitian_sqrt(self, make):
+    def test_spectrum_is_psd_eig(self, make):
         spec = make()
-        assert np.array_equal(spec.cov_sqrt, linalg.hermitian_sqrt(spec.cov))
+        ref = linalg.psd_eig(spec.cov)
+        assert np.array_equal(spec.spectrum.eigenvalues, ref.eigenvalues)
+        assert np.array_equal(spec.spectrum.eigenvectors, ref.eigenvectors)
 
     def test_one_eigendecomposition_per_spec(self, monkeypatch):
         calls = []
@@ -87,7 +89,6 @@ class TestGapSpec:
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
         spec = _correlated_spec()
-        assert spec.cov_sqrt.shape == (6, 6)
         monotonicity_sweep(spec, [1.0, 10.0], 100, 0)
         assert calls == [(6, 6)]
 
@@ -109,8 +110,11 @@ class TestGapSpec:
         assert np.array_equal(spec.nonzero_eigenvalues, [2.0, 1.0])
 
     def test_zero_mean_predicate(self):
+        # exactly zero, whatever the size of the covariance
         assert GapSpec(mean=np.zeros((1, 2)), cov=np.eye(2)).is_zero_mean()
         assert not GapSpec(mean=np.ones((1, 2)), cov=np.eye(2)).is_zero_mean()
+        assert not GapSpec(mean=np.full((1, 2), 1e-13), cov=np.eye(2)).is_zero_mean()
+        assert not GapSpec(mean=np.full((1, 2), 1e-300), cov=1e300 * np.eye(2)).is_zero_mean()
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
@@ -532,7 +536,7 @@ class TestTaylorGamma2:
 
 class TestEigenbasisSampler:
     """The estimator samples H V, V the eigenbasis of cov; the oracle
-    samples mean + W cov_sqrt. Both must estimate the same gap."""
+    samples mean + W S with its own root S. Both must estimate the same gap."""
 
     @pytest.mark.parametrize("make", SAMPLER_SPECS)
     @pytest.mark.parametrize("rho", [1.0, 1e3, 1e6])

@@ -1,13 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from ewsrgap import channel
 from ewsrgap.channel import (
     IbcScenario,
     PrecoderSet,
     UserConfig,
     exp_profile_cov,
     load_demo_bundle,
-    sample_channel,
     stream_spec,
     uniform_power_precoders,
 )
@@ -30,6 +32,7 @@ from ewsrgap.rates import (
     wsr_realization,
 )
 from ewsrgap.special import euler_gamma
+from test_channel import link_draws
 
 
 def _single_user_mimo(rho=4.0, n=2, seed=0):
@@ -252,7 +255,7 @@ class TestWsrRealization:
         sc, ps = _two_user_mimo_random()
         rng = np.random.default_rng(5)
         for _ in range(10):
-            channels = [[sample_channel(link, rng) for link in row] for row in sc.links]
+            channels = [[link_draws(link, rng, 1)[0] for link in row] for row in sc.links]
             assert wsr_realization(sc, ps, channels) >= 0.0
 
     def test_grams_match_per_link_sums(self):
@@ -261,7 +264,7 @@ class TestWsrRealization:
         sc, ps = _two_cell_rician(seed=1)
         rng = np.random.default_rng(8)
         for _ in range(10):
-            H = [[sample_channel(link, rng) for link in row] for row in sc.links]
+            H = [[link_draws(link, rng, 1)[0] for link in row] for row in sc.links]
             terms = _per_link_terms(sc, ps, lambda k, j, Q: H[k][j] @ Q @ H[k][j].conj().T)
             want = sum(u.rate_weight * (s - i) for u, (s, i) in zip(sc.users, terms))
             assert wsr_realization(sc, ps, H) == pytest.approx(want, rel=1e-10)
@@ -359,18 +362,14 @@ class TestEwsrMonteCarlo:
         (_rank_deficient_streams, 1),
     ])
     def test_terms_match_per_link_brute_force(self, make, rank):
-        # every link drawn separately as mean + W cov_sqrt, on its own
-        # stream; the estimator draws the stream spec in its eigenbasis
+        # every link drawn separately as mean + W S, S its own root, on its
+        # own stream; the estimator draws the stream spec in its eigenbasis
         sc, ps = make()
         for sig_spec, _ in _term_specs(sc, ps):
             assert np.linalg.matrix_rank(sig_spec.cov, hermitian=True) == rank
         n = 20_000
         rng = np.random.default_rng(78)
-        H = [
-            [link.mean + complex_normal(rng, (n,) + link.mean.shape) @ link.cov_sqrt
-             for link in row]
-            for row in sc.links
-        ]
+        H = [[link_draws(link, rng, n) for link in row] for row in sc.links]
         terms = _per_link_terms(
             sc, ps, lambda k, j, Q: H[k][j] @ Q @ np.conj(np.swapaxes(H[k][j], 1, 2))
         )
@@ -400,8 +399,7 @@ class TestEwsrMonteCarlo:
             if (k, j) not in drawn:
                 if drawn and next(iter(drawn))[0] != k:
                     drawn.clear()  # keep one user's links at a time
-                link = sc.links[k][j]
-                drawn[k, j] = complex_normal(rng, (n,) + link.mean.shape) @ link.cov_sqrt
+                drawn[k, j] = link_draws(sc.links[k][j], rng, n)
             H = drawn[k, j]
             return H @ Q @ np.conj(np.swapaxes(H, 1, 2))
 
@@ -461,11 +459,7 @@ class TestEwsrMonteCarlo:
         sc, ps = _two_cell_rician()
         n = 20_000
         rng = np.random.default_rng(77)
-        H = [
-            [link.mean + complex_normal(rng, (n,) + link.mean.shape) @ link.cov_sqrt
-             for link in row]
-            for row in sc.links
-        ]
+        H = [[link_draws(link, rng, n) for link in row] for row in sc.links]
         terms = _per_link_terms(
             sc, ps, lambda k, j, Q: H[k][j] @ Q @ np.conj(np.swapaxes(H[k][j], 1, 2))
         )
@@ -698,6 +692,31 @@ class TestSandwichBounds:
         tag = "closed-form" if method == "auto" else method
         assert sb.method_per_user == [tag] * 4
 
+    def test_one_precoder_check_and_one_spec_build_per_call(self, monkeypatch):
+        # sandwich_bounds builds each user's signal and interference spec
+        # once (one eigh each) and takes the ESEI from them; the EWSR
+        # builds each stream spec once; both check the precoders once
+        sc, ps, seed = load_demo_bundle()
+        calls = {"check": 0, "eigh": 0}
+        check, eigh = channel.check_precoders, np.linalg.eigh
+
+        def counted_check(*args):
+            calls["check"] += 1
+            return check(*args)
+
+        def counted_eigh(A):
+            calls["eigh"] += 1
+            return eigh(A)
+
+        monkeypatch.setattr(channel, "check_precoders", counted_check)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        sb = sandwich_bounds(sc, ps, "closed-form", seed=seed)
+        assert sb.esei_value == esei_wsr(sc, ps)
+        assert calls == {"check": 2, "eigh": 4 * sc.n_users}  # esei_wsr is the second
+        calls.update(check=0, eigh=0)
+        ewsr_monte_carlo(sc, ps, 100, 0)
+        assert calls == {"check": 1, "eigh": sc.n_users}
+
     @pytest.mark.parametrize(
         "N, D, powers, mean, cov, tag",
         [
@@ -723,6 +742,16 @@ class TestSandwichBounds:
             pytest.param(
                 2, 2, [1.0], 1.0 + 0.5j, np.zeros((2, 2)), "closed-form", id="zero-covariance"
             ),
+            pytest.param(
+                1, 1, [1.0] * 3, 1.0, 1e-15 * np.eye(3), "closed-form", id="tiny-covariance-miso"
+            ),
+            pytest.param(
+                2, 2, [1.0], [[1.0, 0.5j], [0.2, -1.0]], 1e-15 * np.eye(2),
+                "monte-carlo-high-snr", id="tiny-covariance-mimo",
+            ),
+            pytest.param(
+                2, 2, [1.0], 1e-13, np.eye(2), "monte-carlo-high-snr", id="mean-1e-13-is-not-zero"
+            ),
         ],
     )
     def test_auto_is_first_explicit_method_that_applies(self, N, D, powers, mean, cov, tag):
@@ -730,7 +759,10 @@ class TestSandwichBounds:
         # powers[k]. A lone MISO user has a one-column spec, so the
         # correlated and near-degenerate MISO cases serve three users,
         # chosen so that every signal and interference spec of the
-        # scenario needs the same method.
+        # scenario needs the same method. mean fills every link's mean.
+        # Only an empty support gives the limit 0 and only an exactly
+        # zero mean the zero-mean forms: a covariance of 1e-15 I or a
+        # mean of 1e-13 gets its own limit, finite and >= 0.
         M = cov.shape[0]
         users = [UserConfig(serving_bs=0, rx_antennas=N, streams=D, rate_weight=1.5)] * len(powers)
         sc = IbcScenario(
@@ -742,13 +774,20 @@ class TestSandwichBounds:
         eye = np.eye(M, dtype=complex)
         ps = PrecoderSet([np.sqrt(p) * eye[:, k * D : (k + 1) * D] for k, p in enumerate(powers)])
         kwargs = dict(n_samples=2000, seed=7)
-        auto = sandwich_bounds(sc, ps, "auto", **kwargs)
-        for method in AUTO_METHODS:
-            try:
-                first = sandwich_bounds(sc, ps, method, **kwargs)
-            except UnsupportedCase:
-                continue
-            break
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            auto = sandwich_bounds(sc, ps, "auto", **kwargs)
+            for method in AUTO_METHODS:
+                try:
+                    first = sandwich_bounds(sc, ps, method, **kwargs)
+                except UnsupportedCase:
+                    continue
+                break
+        limits = np.concatenate([auto.per_user_gamma_k, auto.per_user_gamma_kbar])
+        assert np.all(limits >= 0.0)
+        assert np.all(np.isfinite(limits)) or tag == "unbounded"
+        empty = [spec.support_rank == 0 for pair in zip(*_term_specs(sc, ps)) for spec in pair]
+        assert np.array_equal(limits == 0.0, empty)
         assert auto.method_per_user == first.method_per_user == [tag] * len(powers)
         assert np.array_equal(auto.per_user_gamma_k, first.per_user_gamma_k)
         assert np.array_equal(auto.per_user_gamma_kbar, first.per_user_gamma_kbar)
