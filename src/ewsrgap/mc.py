@@ -90,6 +90,13 @@ def _chunk_sizes(n_samples: int):
     return sizes
 
 
+def _column_sums(a) -> np.ndarray:
+    """The sum of each column of a (count, P) array on its own, bit for bit
+    the 1-d sum of that column: a C-ordered sum adds row by row for P > 1
+    but pairwise for P = 1, so a column's last bits would depend on P."""
+    return np.asfortranarray(a).sum(axis=0)
+
+
 def vector_stats(n_samples, seed, evaluate, workers=1, track_diffs=False):
     """Mean and standard error of a vector-valued per-sample statistic.
 
@@ -97,7 +104,8 @@ def vector_stats(n_samples, seed, evaluate, workers=1, track_diffs=False):
     whose generator it is handed. Returns (mean, std_error) of shape
     (P,), plus the standard error of successive component differences
     (shape (P-1,)) when track_diffs is set; paired per-sample diffs are
-    what make CRN sweeps resolvable. Raises DomainError when check_run
+    what make CRN sweeps resolvable. Each column is summed on its own, so
+    a component's bits do not depend on the others. Raises DomainError when check_run
     rejects the arguments or a sum overflows the float range. With
     workers > 1 the chunks run on the shared pool of that size, so
     evaluate must not itself wait on vector_stats with the same worker
@@ -109,11 +117,11 @@ def vector_stats(n_samples, seed, evaluate, workers=1, track_diffs=False):
     def partial(i):
         v = np.atleast_2d(np.asarray(evaluate(chunk_stream(seed, i), sizes[i])))
         with np.errstate(over="ignore", invalid="ignore"):  # checked after the reduction
-            s1 = v.sum(axis=0)
-            s2 = (v * v).sum(axis=0)
+            s1 = _column_sums(v)
+            s2 = _column_sums(v * v)
             if track_diffs:
                 d = np.diff(v, axis=1)
-                return s1, s2, d.sum(axis=0), (d * d).sum(axis=0)
+                return s1, s2, _column_sums(d), _column_sums(d * d)
         return s1, s2, None, None
 
     if workers > 1 and len(sizes) > 1:
