@@ -104,8 +104,7 @@ def vector_stats(n_samples, seed, evaluate, workers=1, track_diffs=False):
     whose generator it is handed. Returns (mean, std_error) of shape
     (P,), plus the standard error of successive component differences
     (shape (P-1,)) when track_diffs is set; paired per-sample diffs are
-    what make CRN sweeps resolvable. Each column is summed on its own, so
-    a component's bits do not depend on the others. Raises DomainError when check_run
+    what make CRN sweeps resolvable. Raises DomainError when check_run
     rejects the arguments or a sum overflows the float range. With
     workers > 1 the chunks run on the shared pool of that size, so
     evaluate must not itself wait on vector_stats with the same worker

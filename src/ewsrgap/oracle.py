@@ -5,10 +5,9 @@ Bartlett-decomposition Wishart sampler, a Gauss-Laguerre quadrature
 evaluator, and a deliberately plain Monte-Carlo baseline. Nothing here
 but the GapSpec type comes from `gap`, which is the point: these are
 the references its estimators and its quadrature kernel are tested against.
-The baseline reads only a spec's mean and cov. It applies no zero rule:
-not the spec's support, by which an empty support is deterministic, and
-not its exact-zero mean test. It draws what the law gives, whatever the
-size of the covariance.
+The baseline reads only a spec's mean and cov and applies none of the
+spec's zero rules (empty support, exactly zero mean): it draws what the
+law gives, however small the covariance.
 """
 
 from __future__ import annotations

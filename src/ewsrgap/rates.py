@@ -17,10 +17,9 @@ of the expected Grams. The "monte-carlo-high-snr" gap limit samples
 Gamma(inf) itself, with gamma_rho at rho = +inf, and returns it plus
 Z_HIGH_SNR standard errors.
 
-What is zero is the spec's to say, by one rule (see GapSpec): a spec
-with an empty support is deterministic and its gap limit is 0, and the
-zero-mean limits apply only to an exactly zero mean. Nothing here takes
-a trace or a tolerance of its own to decide either.
+What is zero is the spec's to say (see GapSpec): an empty support
+makes the gap limit 0, and the zero-mean limits apply only to an
+exactly zero mean.
 """
 
 from __future__ import annotations
@@ -177,8 +176,7 @@ def ewsr_monte_carlo(
     Deterministic given (seed, n_samples) for any worker count. When
     every link has zero covariance the channel is deterministic and its
     exact value, the surrogate esei_wsr (the realization at the mean),
-    is returned with zero standard error. A link has zero covariance
-    when its support is empty (GapSpec.support_rank 0).
+    is returned with zero standard error.
     """
     n_samples, seed, workers = check_run(n_samples, seed, workers)
     if all(link.support_rank == 0 for row in scenario.links for link in row):
@@ -280,9 +278,7 @@ def _gamma_limit(eff: GapSpec, method: str, n_samples: int, seed: int, workers: 
     that does not raise UnsupportedCase; an explicit method raises it.
     Under every method a deterministic spec (empty support,
     GapSpec.support_rank 0) has the limit 0, and one whose H H^H is
-    singular almost surely +inf, tagged "unbounded". Any covariance with
-    a nonempty support, however small against the mean, gets a limit
-    from the method.
+    singular almost surely +inf, tagged "unbounded".
     """
     if method != "auto" and method not in GAP_METHODS:
         raise DomainError(f"gamma_method must be one of auto, {', '.join(GAP_METHODS)}")
