@@ -57,7 +57,7 @@ from .gap import (
     taylor_gamma2,
 )
 from .oracle import exact_e_log_miso_iid
-from .rates import AUTO_METHODS, GAP_METHODS, ewsr_monte_carlo, sandwich_bounds
+from .rates import AUTO_METHODS, GAP_METHODS, sandwich_bounds
 from .verify import run_suite
 
 _LN2 = float(np.log(2.0))
@@ -244,14 +244,9 @@ def cmd_sandwich(args) -> int:
     if precoders is None or args.uniform_precoders:
         precoders = uniform_power_precoders(scenario)
     bound = sandwich_bounds(
-        scenario,
-        precoders,
-        args.method,
-        n_samples=args.samples,
-        seed=seed + 1_000_000,
-        workers=args.workers,
+        scenario, precoders, args.method, n_samples=args.samples, seed=seed, workers=args.workers
     )
-    est = ewsr_monte_carlo(scenario, precoders, args.samples, seed, workers=args.workers)
+    est = bound.ewsr
     contained = bound.contains(est.value)
     rows = []
     for k, u in enumerate(scenario.users):

@@ -199,7 +199,8 @@ def gram_log_rates(G: np.ndarray, rhos) -> np.ndarray:
     """Per-sample ln det(I + rho G) for a PSD batch G of shape (n, N, N).
 
     Returns shape (n, len(rhos)): the whole rho grid comes from one set
-    of Gram eigenvalues g per sample, negative ones clipped to zero. A
+    of Gram eigenvalues g per sample, negative ones clipped to zero, and
+    each column is bit for bit that of a call with its rho alone. A
     rho of +inf stands for the high-SNR offset sum ln g = ln det G
     (Lozano, Tulino & Verdu, IEEE T-IT 2005), -inf for a singular G. N = 1
     reads the diagonal, N = 2 uses the closed form below and N >= 3
@@ -231,7 +232,7 @@ def gram_log_rates(G: np.ndarray, rhos) -> np.ndarray:
         g[finite] = np.clip(np.linalg.eigvalsh(G[finite]), 0.0, None)
     high = rhos == np.inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # ln 0 = -inf
-        rates = np.log1p(rhos[None, None, :] * g[:, :, None]).sum(axis=1)
+        rates = np.log1p(g[:, None, :] * rhos[None, :, None]).sum(axis=2)
         if high.any():
             rates[:, high] = np.log(g).sum(axis=1)[:, None]
     return rates

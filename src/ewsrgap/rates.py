@@ -13,9 +13,9 @@ its support (plus the mean's fixed columns outside it), mapped back to
 the user's own streams by GapSpec.basis, their Grams
 formed by linalg.gram and their log-dets taken by
 linalg.gram_log_rates, the kernel that also takes the ESEI's log-dets
-of the expected Grams. The "monte-carlo-high-snr" gap limit samples
-Gamma(inf) itself, with gamma_rho at rho = +inf, and returns it plus
-Z_HIGH_SNR standard errors.
+of the expected Grams. The "monte-carlo-high-snr" gap limit is Gamma(inf)
+plus Z_HIGH_SNR standard errors, its E ln|H H^H| taken at rho = +inf
+from the Grams of the EWSR's own draws: one Monte-Carlo pass serves both.
 
 What is zero is the spec's to say (see GapSpec): an empty support
 makes the gap limit 0, and the zero-mean limits apply only to an
@@ -36,7 +36,6 @@ from .gap import (
     _esei_term,
     e_log_quadform,
     gamma_inf_mimo_iid,
-    gamma_rho,
     taylor_gamma2_inf_zero_mean,
 )
 from .mc import MonteCarloEstimate, check_run, vector_stats
@@ -62,7 +61,8 @@ class SandwichBound:
     upper = esei_value + sum_k u_k gamma_kbar, where gamma_k bounds the
     signal-term gap and gamma_kbar the interference-term gap of user k.
     method_per_user records how each user's gamma limits were obtained
-    (the least exact method used for that user, in _TAG_ORDER).
+    (the least exact method used for that user, in _TAG_ORDER). ewsr is
+    the call's Monte-Carlo EWSR, whose draws give the sampled limits.
     """
 
     lower: float
@@ -71,6 +71,7 @@ class SandwichBound:
     per_user_gamma_k: np.ndarray
     per_user_gamma_kbar: np.ndarray
     method_per_user: list
+    ewsr: MonteCarloEstimate
 
     def __post_init__(self):
         if np.isnan([self.lower, self.esei_value, self.upper]).any():
@@ -86,7 +87,7 @@ class SandwichBound:
         return self.lower <= value <= self.upper
 
 
-def _rate_terms(X: np.ndarray, own_basis: np.ndarray | None):
+def _rate_terms(X: np.ndarray, own_basis: np.ndarray | None, rhos):
     """Signal and interference terms of one user for a batch of draws.
 
     X (n, N, r + q) holds draws of the precoded channels
@@ -96,11 +97,11 @@ def _rate_terms(X: np.ndarray, own_basis: np.ndarray | None):
     F F^H; the interference Gram drops the own streams, X X^H -
     F_own F_own^H with F_own = X basis[:, own]. A user whose own streams
     are all the columns has own_basis None and an interference Gram of
-    exactly zero. Returns ln|I + .| of both.
+    exactly zero. Returns ln|I + rho .| of both, (n, len(rhos)) each.
     """
     S = linalg.gram(X)
     intf = np.zeros_like(S) if own_basis is None else S - linalg.gram(X @ own_basis)
-    return tuple(linalg.gram_log_rates(G, [1.0])[:, 0] for G in (S, intf))
+    return tuple(linalg.gram_log_rates(G, rhos) for G in (S, intf))
 
 
 def _split(spec: GapSpec, own: slice):
@@ -137,31 +138,48 @@ def wsr_realization(scenario: IbcScenario, precoders: PrecoderSet, channels) -> 
     return esei_wsr(replace(scenario, links=links), precoders)
 
 
-def _term_evaluator(specs, weights):
-    """Per-sample statistic matrix for all users' rate terms.
+def _monte_carlo_pass(scenario, specs, n_samples, seed, workers, sampled=()):
+    """One vector_stats pass over the users' stream specs, a
+    MonteCarloEstimate per column of its per-sample statistic matrix.
 
     Column 0 is the weighted sum rate; columns 1..K are the signal
-    terms, columns K+1..2K the interference terms. Each user draws its
-    precoded channels from its stream spec with GapSpec.draw, users in
-    order, so any consumer of the same seed sees the same channels.
+    terms, columns K+1..2K the interference terms. Then comes one column
+    per (user, side) pair of ``sampled``, in its order: ln det of the
+    user's signal (side 0) or interference (side 1) Gram, its rate at
+    rho = +inf. Each user draws its precoded channels from its stream
+    spec with GapSpec.draw, users in order, so any consumer of the same
+    seed sees the same channels, whatever it samples.
     """
     K = len(specs)
+    weights = [u.rate_weight for u in scenario.users]
     own_bases = [
         None if own == slice(0, spec.mean.shape[1]) else spec.basis[:, own]
         for spec, own in specs
     ]
+    high = {pair: 1 + 2 * K + i for i, pair in enumerate(sampled)}
+    rhos = [[1.0, np.inf] if (k, 0) in high or (k, 1) in high else [1.0] for k in range(K)]
 
     def evaluate(rng, count):
-        out = np.zeros((count, 1 + 2 * K))
+        out = np.zeros((count, 1 + 2 * K + len(sampled)))
         for k, ((spec, _), own_basis, weight) in enumerate(zip(specs, own_bases, weights)):
             with np.errstate(over="ignore", invalid="ignore"):  # raised after the sums
-                sig, intf = _rate_terms(spec.draw(rng, count), own_basis)
+                sides = _rate_terms(spec.draw(rng, count), own_basis, rhos[k])
+                for side, rates in enumerate(sides):
+                    if (k, side) in high:
+                        out[:, high[k, side]] = rates[:, 1]
+                sig, intf = (rates[:, 0] for rates in sides)
                 out[:, 1 + k] = sig
                 out[:, 1 + K + k] = intf
                 out[:, 0] += weight * (sig - intf)
         return out
 
-    return evaluate
+    mean, se, _ = vector_stats(n_samples, seed, evaluate, workers=workers)
+    return [MonteCarloEstimate(float(m), float(e), n_samples, seed) for m, e in zip(mean, se)]
+
+
+def _is_deterministic(scenario: IbcScenario) -> bool:
+    """Every link has an empty support: the channel is its mean."""
+    return all(link.support_rank == 0 for row in scenario.links for link in row)
 
 
 def ewsr_monte_carlo(
@@ -179,7 +197,7 @@ def ewsr_monte_carlo(
     is returned with zero standard error.
     """
     n_samples, seed, workers = check_run(n_samples, seed, workers)
-    if all(link.support_rank == 0 for row in scenario.links for link in row):
+    if _is_deterministic(scenario):
         return MonteCarloEstimate(esei_wsr(scenario, precoders), 0.0, n_samples, seed)
     return user_term_estimates(scenario, precoders, n_samples, seed, workers)[0]
 
@@ -197,21 +215,10 @@ def user_term_estimates(
     term lists hold one MonteCarloEstimate per user, all evaluated on
     the same channel draws as ewsr_monte_carlo with the same seed.
     """
-    specs = _stream_specs(scenario, precoders, range(scenario.n_users))
-    weights = [u.rate_weight for u in scenario.users]
-    K = len(specs)
-    mean, se, _ = vector_stats(
-        n_samples, seed, _term_evaluator(specs, weights), workers=workers
-    )
-
-    def estimate(i):
-        return MonteCarloEstimate(float(mean[i]), float(se[i]), n_samples, seed)
-
-    return (
-        estimate(0),
-        [estimate(1 + k) for k in range(K)],
-        [estimate(1 + K + k) for k in range(K)],
-    )
+    streams = _stream_specs(scenario, precoders, range(scenario.n_users))
+    wsr, *terms = _monte_carlo_pass(scenario, streams, n_samples, seed, workers)
+    K = len(streams)
+    return wsr, terms[:K], terms[K:]
 
 
 def _esei_of(term_specs):
@@ -241,7 +248,7 @@ def esei_wsr(scenario: IbcScenario, precoders: PrecoderSet) -> float:
     return _weighted_sum(scenario, esei_terms(scenario, precoders))
 
 
-def _closed_form_limit(eff: GapSpec, n_samples, seed, workers) -> float:
+def _closed_form_limit(eff: GapSpec) -> float:
     """Exact limit: i.i.d. MIMO for a zero-mean spec (GapSpec.is_zero_mean,
     exactly zero; the form is derived for no other mean) with at least N
     equal nonzero eigenvalues, else for N = 1 ln E x - E ln x of x = ||h||^2."""
@@ -255,28 +262,14 @@ def _closed_form_limit(eff: GapSpec, n_samples, seed, workers) -> float:
     raise UnsupportedCase("no closed-form gap limit for this spec")
 
 
-def _taylor_limit(eff: GapSpec, n_samples, seed, workers) -> float:
-    if not eff.is_zero_mean():
-        raise UnsupportedCase("the second-order limit is only derived for zero mean")
-    return taylor_gamma2_inf_zero_mean(eff.cov, eff.n_rx)
-
-
-def _high_snr_limit(eff: GapSpec, n_samples, seed, workers) -> float:
-    """The sampled Gamma(inf) plus Z_HIGH_SNR standard errors: a
-    statistical bound, not an exact one."""
-    est = gamma_rho(eff, np.inf, n_samples, seed, workers=workers)
-    return max(est.value + Z_HIGH_SNR * est.std_error, 0.0)
-
-
-_LIMITS = dict(zip(GAP_METHODS, (_closed_form_limit, _taylor_limit, _high_snr_limit)))
-
-
-def _gamma_limit(eff: GapSpec, method: str, n_samples: int, seed: int, workers: int):
+def _gamma_limit(eff: GapSpec, method: str):
     """One gap limit for a signal or interference spec, by the requested method.
 
-    Returns (value, tag). "auto" returns the first method of AUTO_METHODS
-    that does not raise UnsupportedCase; an explicit method raises it.
-    Under every method a deterministic spec (empty support,
+    Returns (value, tag). "auto" returns the closed form where it
+    applies; an explicit method raises UnsupportedCase where it does
+    not. A side left to "monte-carlo-high-snr" gets the value None: its
+    limit is sampled in the Monte-Carlo pass of sandwich_bounds. Under
+    every method a deterministic spec (empty support,
     GapSpec.support_rank 0) has the limit 0, and one whose H H^H is
     singular almost surely +inf, tagged "unbounded".
     """
@@ -286,13 +279,17 @@ def _gamma_limit(eff: GapSpec, method: str, n_samples: int, seed: int, workers: 
         return 0.0, GAP_METHODS[0]
     if eff.gram_rank < eff.n_rx:
         return np.inf, "unbounded"
-    tried = AUTO_METHODS if method == "auto" else (method,)
-    for name in tried:
+    if method == "taylor":
+        if not eff.is_zero_mean():
+            raise UnsupportedCase("the second-order limit is only derived for zero mean")
+        return taylor_gamma2_inf_zero_mean(eff.cov, eff.n_rx), method
+    if method in ("auto", "closed-form"):
         try:
-            return _LIMITS[name](eff, n_samples, seed, workers), name
+            return _closed_form_limit(eff), "closed-form"
         except UnsupportedCase:
-            if name == tried[-1]:
+            if method == "closed-form":
                 raise
+    return None, "monte-carlo-high-snr"
 
 
 def sandwich_bounds(
@@ -309,31 +306,36 @@ def sandwich_bounds(
     surrogate - sum_k u_k gamma_k <= EWSR <= surrogate + sum_k u_k
     gamma_kbar, with per-user gap limits computed on the stream specs of
     the signal and the interference terms, the same specs the ESEI uses.
-    n_samples/seed/workers only matter when a Monte-Carlo gap limit is
-    needed (multi-antenna specs without a closed form in auto mode, or
-    when requested), but they are checked by mc.check_run in any case.
+    One Monte-Carlo pass of n_samples draws at seed, on workers threads,
+    gives the bound's ewsr, bit for bit ewsr_monte_carlo's, and every
+    sampled limit, Gamma(inf) + Z_HIGH_SNR se with E ln|H H^H| taken
+    from the Grams of the same draws. A deterministic scenario needs no
+    pass: its ewsr is the surrogate, with standard error 0.
     """
     n_samples, seed, workers = check_run(n_samples, seed, workers)
-    term_specs = _term_specs(scenario, precoders)
+    streams = _stream_specs(scenario, precoders, range(scenario.n_users))
+    term_specs = [_split(*pair) for pair in streams]
     esei = _weighted_sum(scenario, _esei_of(term_specs))
-    gammas_k, gammas_kbar, methods = [], [], []
-    for k, (sig, intf) in enumerate(term_specs):
-        g_sig, tag_sig = _gamma_limit(sig, gamma_method, n_samples, seed + 2 * k, workers)
-        g_int, tag_int = _gamma_limit(
-            intf, gamma_method, n_samples, seed + 2 * k + 1, workers
-        )
-        gammas_k.append(g_sig)
-        gammas_kbar.append(g_int)
-        methods.append(max(tag_sig, tag_int, key=_TAG_ORDER.index))
+    limits = [[_gamma_limit(spec, gamma_method) for spec in pair] for pair in term_specs]
+    sampled = [
+        (k, side) for k, pair in enumerate(limits) for side in (0, 1) if pair[side][0] is None
+    ]
+    if _is_deterministic(scenario):
+        ewsr = MonteCarloEstimate(esei, 0.0, n_samples, seed)
+    else:
+        ewsr, *terms = _monte_carlo_pass(scenario, streams, n_samples, seed, workers, sampled)
+        for (k, side), est in zip(sampled, terms[2 * len(streams) :]):
+            gamma = float(_esei_term(term_specs[k][side], [np.inf])[0]) - est.value
+            limits[k][side] = (max(gamma + Z_HIGH_SNR * est.std_error, 0.0), limits[k][side][1])
+    gk, gkbar = (np.array([pair[side][0] for pair in limits]) for side in (0, 1))
     weights = np.array([u.rate_weight for u in scenario.users])
     used = weights != 0.0  # so that 0 * inf adds nothing instead of NaN
-    gk = np.asarray(gammas_k)
-    gkbar = np.asarray(gammas_kbar)
     return SandwichBound(
         lower=esei - float(weights[used] @ gk[used]),
         upper=esei + float(weights[used] @ gkbar[used]),
         esei_value=esei,
         per_user_gamma_k=gk,
         per_user_gamma_kbar=gkbar,
-        method_per_user=methods,
+        method_per_user=[max(a[1], b[1], key=_TAG_ORDER.index) for a, b in limits],
+        ewsr=ewsr,
     )

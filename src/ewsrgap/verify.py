@@ -220,18 +220,18 @@ def _check_taylor_consistency(seed, scale, workers):
 def _check_sandwich_demo(seed, scale, workers):
     scenario, precoders = demo_scenario()
     n = max(int(50_000 * scale), 2000)
-    bound = sandwich_bounds(scenario, precoders, seed=seed, workers=workers)
-    wsr, sig, intf = user_term_estimates(scenario, precoders, n, seed, workers=workers)
-    slack = min(wsr.value - bound.lower, bound.upper - wsr.value)
+    bound = sandwich_bounds(scenario, precoders, n_samples=n, seed=seed, workers=workers)
+    wsr = bound.ewsr.value
     rows = [
         _row(
             "theorems",
             "sandwich-demo-containment",
-            bound.contains(wsr.value),
-            slack,
-            f"ewsr {wsr.value:.4f} in [{bound.lower:.4f}, {bound.upper:.4f}]",
+            bound.contains(wsr),
+            min(wsr - bound.lower, bound.upper - wsr),
+            f"ewsr {wsr:.4f} in [{bound.lower:.4f}, {bound.upper:.4f}]",
         )
     ]
+    _, sig, intf = user_term_estimates(scenario, precoders, n, seed, workers=workers)
     worst = np.inf
     for (esei_sig, esei_int), s_est, i_est in zip(
         esei_terms(scenario, precoders), sig, intf

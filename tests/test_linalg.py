@@ -234,6 +234,16 @@ class TestGramLogRates:
         G = _gram_batch(_rng(14 + N), 512, N, 4)
         assert np.array_equal(gram_log_rates(G, self.RHOS), _eigvalsh_rates(G, self.RHOS))
 
+    @pytest.mark.parametrize("N", [1, 2, 4, 9])
+    def test_each_column_is_its_rho_alone(self, N):
+        # a column's sum over the N eigenvalues does not depend on the rest
+        # of the grid, also from N = 9 on, where a 1-d sum goes pairwise
+        G = _gram_batch(_rng(40 + N), 200, N, 12)
+        rhos = [1.0, 7.0, 1e6, np.inf]
+        got = gram_log_rates(G, rhos)
+        for p, rho in enumerate(rhos):
+            assert np.array_equal(got[:, p], gram_log_rates(G, [rho])[:, 0])
+
     def test_non_finite_gram_gives_non_finite_rates_without_warnings(self):
         G = np.full((2, 2, 2), np.inf, complex)
         with warnings.catch_warnings():

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ewsrgap import channel
+from ewsrgap import channel, gap, rates
 from ewsrgap.channel import (
     IbcScenario,
     PrecoderSet,
@@ -15,7 +15,7 @@ from ewsrgap.channel import (
 )
 from ewsrgap.errors import DimensionMismatch, DomainError, UnsupportedCase
 from ewsrgap.gap import GapSpec, gamma_rho
-from ewsrgap.mc import complex_normal, vector_stats
+from ewsrgap.mc import MonteCarloEstimate, complex_normal, vector_stats
 from ewsrgap.oracle import exact_e_log_miso_iid
 from ewsrgap.rates import (
     AUTO_METHODS,
@@ -443,7 +443,9 @@ class TestEwsrMonteCarlo:
                 if np.any(spec.mean):
                     X += spec.mean @ V
                 whole = own == slice(0, spec.mean.shape[1])
-                sig, intf = _rate_terms(X, None if whole else V.conj().T[:, own])
+                sig, intf = (
+                    t[:, 0] for t in _rate_terms(X, None if whole else V.conj().T[:, own], [1.0])
+                )
                 out[:, 1 + k], out[:, 1 + K + k] = sig, intf
                 out[:, 0] += u.rate_weight * (sig - intf)
             return out
@@ -613,10 +615,9 @@ class TestSandwichBounds:
             bs_antennas=[4], users=users, power_budgets=[8.0], links=links
         )
         ps = uniform_power_precoders(sc)
-        sb = sandwich_bounds(sc, ps, "closed-form")
+        sb = sandwich_bounds(sc, ps, "closed-form", n_samples=100_000, seed=14)
         assert sb.method_per_user == ["closed-form", "closed-form"]
-        est = ewsr_monte_carlo(sc, ps, 100_000, 14)
-        assert sb.contains(est.value)
+        assert sb.contains(sb.ewsr.value)
 
     def test_width_identity(self):
         sc, ps = _two_user_mimo_random(seed=4)
@@ -694,28 +695,81 @@ class TestSandwichBounds:
 
     def test_one_precoder_check_and_one_spec_build_per_call(self, monkeypatch):
         # sandwich_bounds builds each user's signal and interference spec
-        # once (one eigh each) and takes the ESEI from them; the EWSR
-        # builds each stream spec once; both check the precoders once
+        # once (one eigh each), takes the ESEI from them and makes one
+        # Monte-Carlo pass, which also samples its sampled limits; the
+        # EWSR builds each stream spec once; both check the precoders once.
+        # gamma_rho, however imported, would go through monotonicity_sweep
         sc, ps, seed = load_demo_bundle()
-        calls = {"check": 0, "eigh": 0}
-        check, eigh = channel.check_precoders, np.linalg.eigh
+        calls = dict.fromkeys(["check", "eigh", "vector_stats", "gamma_rho", "sweep"], 0)
 
-        def counted_check(*args):
-            calls["check"] += 1
-            return check(*args)
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
 
-        def counted_eigh(A):
-            calls["eigh"] += 1
-            return eigh(A)
+            return call
 
-        monkeypatch.setattr(channel, "check_precoders", counted_check)
-        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(channel, "check_precoders", counted("check", channel.check_precoders))
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        monkeypatch.setattr(rates, "vector_stats", counted("vector_stats", rates.vector_stats))
+        monkeypatch.setattr(gap, "gamma_rho", counted("gamma_rho", gap.gamma_rho))
+        monkeypatch.setattr(gap, "monotonicity_sweep", counted("sweep", gap.monotonicity_sweep))
+        once = {"vector_stats": 1, "gamma_rho": 0, "sweep": 0}
         sb = sandwich_bounds(sc, ps, "closed-form", seed=seed)
         assert sb.esei_value == esei_wsr(sc, ps)
-        assert calls == {"check": 2, "eigh": 4 * sc.n_users}  # esei_wsr is the second
-        calls.update(check=0, eigh=0)
+        # esei_wsr is the second check
+        assert calls == {"check": 2, "eigh": 4 * sc.n_users, **once}
+        calls.update(dict.fromkeys(calls, 0))
+        sb = sandwich_bounds(sc, ps, "monte-carlo-high-snr", n_samples=2000, seed=seed)
+        assert sb.method_per_user == ["monte-carlo-high-snr"] * sc.n_users
+        assert calls == {"check": 1, "eigh": 2 * sc.n_users, **once}
+        calls.update(dict.fromkeys(calls, 0))
         ewsr_monte_carlo(sc, ps, 100, 0)
-        assert calls == {"check": 1, "eigh": sc.n_users}
+        assert calls == {"check": 1, "eigh": sc.n_users, **once}
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "make, sampled",
+        [
+            (lambda: load_demo_bundle()[:2], False),
+            (_multicell_uniform, True),
+            (_two_cell_rician, True),
+        ],
+        ids=["demo", "multicell", "two-cell-rician"],
+    )
+    def test_bound_ewsr_is_ewsr_monte_carlo_bit_for_bit(self, make, sampled, workers):
+        # the demo's limits are closed-form; the others' sampled limits
+        # add columns to the same pass, which changes no bit of the EWSR
+        sc, ps = make()
+        n = 2 * 4096 + 7
+        sb = sandwich_bounds(sc, ps, "auto", n_samples=n, seed=4, workers=workers)
+        est = ewsr_monte_carlo(sc, ps, n, 4, workers=workers)
+        assert ("monte-carlo-high-snr" in sb.method_per_user) == sampled
+        assert sb.ewsr.value.hex() == est.value.hex()
+        assert sb.ewsr.std_error.hex() == est.std_error.hex()
+        assert (sb.ewsr.n_samples, sb.ewsr.seed) == (n, 4)
+
+    def test_deterministic_bound_ewsr_is_the_surrogate(self, monkeypatch):
+        sc, ps = _orthogonal_two_user_miso()
+        monkeypatch.setattr(rates, "vector_stats", None)  # no pass may run
+        sb = sandwich_bounds(sc, ps, n_samples=50, seed=3)
+        assert (sb.ewsr.value, sb.ewsr.std_error) == (esei_wsr(sc, ps), 0.0)
+        assert (sb.ewsr.n_samples, sb.ewsr.seed) == (50, 3)
+
+    def test_sampled_limits_follow_the_law_of_their_specs(self):
+        # the interference Gram of the pass is S - gram(X own_basis); its
+        # ln det must have the law of the interference spec's own draws.
+        # Both runs have n samples, so their se agree up to noise.
+        sc, ps = _two_cell_rician()
+        n = 20_000
+        sb = sandwich_bounds(sc, ps, "auto", n_samples=n, seed=8)
+        assert sb.method_per_user == ["monte-carlo-high-snr"] * sc.n_users
+        for k, pair in enumerate(_term_specs(sc, ps)):
+            for spec, got in zip(pair, (sb.per_user_gamma_k[k], sb.per_user_gamma_kbar[k])):
+                assert not spec.is_zero_mean() and spec.n_rx == 2
+                ref = gamma_rho(spec, np.inf, n, 50 + k)
+                want = ref.value + Z_HIGH_SNR * ref.std_error
+                assert abs(got - want) <= 5 * np.sqrt(2) * ref.std_error
 
     @pytest.mark.parametrize(
         "N, D, powers, mean, cov, tag",
@@ -901,11 +955,10 @@ class TestSandwichBounds:
             links=[[GapSpec(mean=np.zeros((1, M)), cov=cov)] for _ in users],
         )
         ps = PrecoderSet([np.eye(M, dtype=complex)[:, [k]] for k in range(M)])
-        sb = sandwich_bounds(sc, ps, "auto")
+        sb = sandwich_bounds(sc, ps, "auto", n_samples=20_000, seed=5)
         assert sb.method_per_user == ["closed-form"] * M
         assert np.all((sb.per_user_gamma_k > 0.0) & (sb.per_user_gamma_k < 0.02))
-        est = ewsr_monte_carlo(sc, ps, 20_000, 5)
-        assert sb.contains(est.value)
+        assert sb.contains(sb.ewsr.value)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_zero_mean_mimo_contained(self, seed):
@@ -947,4 +1000,5 @@ class TestSandwichBounds:
                 per_user_gamma_k=np.array([0.1]),
                 per_user_gamma_kbar=np.array([0.1]),
                 method_per_user=["closed-form"],
+                ewsr=MonteCarloEstimate(0.7, 0.0, 2, 0),
             )
