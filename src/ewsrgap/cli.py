@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -57,7 +58,7 @@ from .gap import (
     taylor_gamma2,
 )
 from .oracle import exact_e_log_miso_iid
-from .rates import AUTO_METHODS, GAP_METHODS, sandwich_bounds
+from .rates import GAP_METHODS, sandwich_bounds
 from .verify import run_suite
 
 _LN2 = float(np.log(2.0))
@@ -332,6 +333,7 @@ def _add_common(sub, samples_default: int):
                      help="thread count for Monte-Carlo chunks (results identical)")
 
 
+@functools.cache  # parsing leaves the parser as it was, so main reuses it
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ewsrgap",
@@ -372,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="replace any stored precoders with scaled-identity ones")
     sw.add_argument("--method", default="auto",
                     choices=["auto", *GAP_METHODS],
-                    help="gap-limit method (default auto: the first of "
-                    f"{', '.join(AUTO_METHODS)} that applies)")
+                    help="gap-limit method (default auto: closed-form where it "
+                    "applies, else monte-carlo-high-snr)")
     sw.set_defaults(func=cmd_sandwich)
 
     vf = sub.add_parser("verify", help="run property suites")

@@ -106,7 +106,8 @@ class GapSpec:
     trace or tolerance of their own: it is deterministic when its
     support is empty (``support_rank`` 0), and zero-mean when every
     mean entry is exactly 0 (``is_zero_mean``). SUPPORT_RTOL is the
-    one relative cut, and it sets r and q only.
+    one relative cut: it sets r and q, and so what a draw leaves out
+    (``_draws_law_of``).
     """
 
     mean: np.ndarray
@@ -187,6 +188,22 @@ class GapSpec:
             return Vh[:r]
         with linalg.serial_blas():
             return np.vstack([Vh[:r], rows @ Vh[r:]])
+
+    def _draws_law_of(self, other: GapSpec) -> bool:
+        """Whether draws of this spec, read on other's columns, give the
+        law of ``other``, this spec or one on a subset of its columns:
+        what a draw leaves out of E||H||_F^2 (N times the eigenvalues of
+        cov outside the support, plus the mean's power there that the q
+        fixed columns drop) is at most SUPPORT_RTOL of other's."""
+        if other is self:
+            return True
+        r, fixed = self.support_rank, self._off_support[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN never passes
+            outside = self.rotated_mean[:, r:]
+            mean = np.vdot(outside, outside).real - np.vdot(fixed, fixed).real
+            dropped = self.n_rx * np.clip(self.spectrum.eigenvalues[r:], 0.0, None).sum()
+            power = SUPPORT_RTOL * np.trace(other.expected_gram()).real
+            return bool(dropped + max(mean, 0.0) <= power)
 
     @property
     def gram_rank(self) -> int:

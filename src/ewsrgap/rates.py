@@ -16,6 +16,8 @@ linalg.gram_log_rates, the kernel that also takes the ESEI's log-dets
 of the expected Grams. The "monte-carlo-high-snr" gap limit is Gamma(inf)
 plus Z_HIGH_SNR standard errors, its E ln|H H^H| taken at rho = +inf
 from the Grams of the EWSR's own draws: one Monte-Carlo pass serves both.
+An interference spec whose law those draws miss (GapSpec._draws_law_of)
+is drawn on its own in the same pass, after every user's draws.
 
 What is zero is the spec's to say (see GapSpec): an empty support
 makes the gap limit 0, and the zero-mean limits apply only to an
@@ -45,9 +47,6 @@ Z_HIGH_SNR = 3.0
 
 # The explicit gap-limit methods, from most to least exact.
 GAP_METHODS = ("closed-form", "taylor", "monte-carlo-high-snr")
-
-# What "auto" tries, in order; never the Taylor limit, which is not a bound.
-AUTO_METHODS = ("closed-form", "monte-carlo-high-snr")
 
 # Per-user tags from most to least exact; "unbounded" is an exact +inf.
 _TAG_ORDER = ("closed-form", "unbounded", "taylor", "monte-carlo-high-snr")
@@ -144,11 +143,13 @@ def _monte_carlo_pass(scenario, specs, n_samples, seed, workers, sampled=()):
 
     Column 0 is the weighted sum rate; columns 1..K are the signal
     terms, columns K+1..2K the interference terms. Then comes one column
-    per (user, side) pair of ``sampled``, in its order: ln det of the
-    user's signal (side 0) or interference (side 1) Gram, its rate at
-    rho = +inf. Each user draws its precoded channels from its stream
-    spec with GapSpec.draw, users in order, so any consumer of the same
-    seed sees the same channels, whatever it samples.
+    per (user, side, apart) triple of ``sampled``, in its order: ln det
+    of the user's signal (side 0) or interference (side 1) Gram, its
+    rate at rho = +inf, taken from the user's draws, or, where ``apart``
+    is a spec, from draws of that spec made after every user's. Each
+    user draws its precoded channels from its stream spec with
+    GapSpec.draw, users in order, so any consumer of the same seed sees
+    the same channels, whatever it samples.
     """
     K = len(specs)
     weights = [u.rate_weight for u in scenario.users]
@@ -156,13 +157,14 @@ def _monte_carlo_pass(scenario, specs, n_samples, seed, workers, sampled=()):
         None if own == slice(0, spec.mean.shape[1]) else spec.basis[:, own]
         for spec, own in specs
     ]
-    high = {pair: 1 + 2 * K + i for i, pair in enumerate(sampled)}
+    high = {(k, side): 1 + 2 * K + i for i, (k, side, apart) in enumerate(sampled) if not apart}
+    alone = [(1 + 2 * K + i, apart) for i, (_, _, apart) in enumerate(sampled) if apart]
     rhos = [[1.0, np.inf] if (k, 0) in high or (k, 1) in high else [1.0] for k in range(K)]
 
     def evaluate(rng, count):
         out = np.zeros((count, 1 + 2 * K + len(sampled)))
-        for k, ((spec, _), own_basis, weight) in enumerate(zip(specs, own_bases, weights)):
-            with np.errstate(over="ignore", invalid="ignore"):  # raised after the sums
+        with np.errstate(over="ignore", invalid="ignore"):  # raised after the sums
+            for k, ((spec, _), own_basis, weight) in enumerate(zip(specs, own_bases, weights)):
                 sides = _rate_terms(spec.draw(rng, count), own_basis, rhos[k])
                 for side, rates in enumerate(sides):
                     if (k, side) in high:
@@ -171,6 +173,9 @@ def _monte_carlo_pass(scenario, specs, n_samples, seed, workers, sampled=()):
                 out[:, 1 + k] = sig
                 out[:, 1 + K + k] = intf
                 out[:, 0] += weight * (sig - intf)
+            for col, spec in alone:
+                G = linalg.gram(spec.draw(rng, count))
+                out[:, col] = linalg.gram_log_rates(G, [np.inf])[:, 0]
         return out
 
     mean, se, _ = vector_stats(n_samples, seed, evaluate, workers=workers)
@@ -266,9 +271,10 @@ def _gamma_limit(eff: GapSpec, method: str):
     """One gap limit for a signal or interference spec, by the requested method.
 
     Returns (value, tag). "auto" returns the closed form where it
-    applies; an explicit method raises UnsupportedCase where it does
-    not. A side left to "monte-carlo-high-snr" gets the value None: its
-    limit is sampled in the Monte-Carlo pass of sandwich_bounds. Under
+    applies, else "monte-carlo-high-snr", never the Taylor limit, which
+    is not a bound; an explicit method raises UnsupportedCase where it
+    does not apply. A side left to "monte-carlo-high-snr" gets the value
+    None: its limit is sampled in the Monte-Carlo pass of _sandwich. Under
     every method a deterministic spec (empty support,
     GapSpec.support_rank 0) has the limit 0, and one whose H H^H is
     singular almost surely +inf, tagged "unbounded".
@@ -292,14 +298,49 @@ def _gamma_limit(eff: GapSpec, method: str):
     return None, "monte-carlo-high-snr"
 
 
+def _sandwich(scenario, precoders, gamma_method, n_samples, seed, workers):
+    """sandwich_bounds, and the per-user (signal, interference) term
+    estimates of its pass, as user_term_estimates gives them at the same
+    (n_samples, seed); None for a deterministic scenario, which runs no
+    pass."""
+    n_samples, seed, workers = check_run(n_samples, seed, workers)
+    streams = _stream_specs(scenario, precoders, range(scenario.n_users))
+    term_specs = [_split(*pair) for pair in streams]
+    esei = _weighted_sum(scenario, _esei_of(term_specs))
+    limits = [[_gamma_limit(spec, gamma_method) for spec in pair] for pair in term_specs]
+    sampled = [
+        (k, side, None if streams[k][0]._draws_law_of(spec) else spec)
+        for k, pair in enumerate(term_specs)
+        for side, spec in enumerate(pair)
+        if limits[k][side][0] is None
+    ]
+    K, terms = len(streams), None
+    if _is_deterministic(scenario):
+        ewsr = MonteCarloEstimate(esei, 0.0, n_samples, seed)
+    else:
+        ewsr, *terms = _monte_carlo_pass(scenario, streams, n_samples, seed, workers, sampled)
+        for (k, side, _), est in zip(sampled, terms[2 * K :]):
+            gamma = float(_esei_term(term_specs[k][side], [np.inf])[0]) - est.value
+            limits[k][side] = (max(gamma + Z_HIGH_SNR * est.std_error, 0.0), limits[k][side][1])
+        terms = terms[:K], terms[K : 2 * K]
+    gk, gkbar = (np.array([pair[side][0] for pair in limits]) for side in (0, 1))
+    weights = np.array([u.rate_weight for u in scenario.users])
+    used = weights != 0.0  # so that 0 * inf adds nothing instead of NaN
+    bound = SandwichBound(
+        lower=esei - float(weights[used] @ gk[used]),
+        upper=esei + float(weights[used] @ gkbar[used]),
+        esei_value=esei,
+        per_user_gamma_k=gk,
+        per_user_gamma_kbar=gkbar,
+        method_per_user=[max(a[1], b[1], key=_TAG_ORDER.index) for a, b in limits],
+        ewsr=ewsr,
+    )
+    return bound, terms
+
+
 def sandwich_bounds(
-    scenario: IbcScenario,
-    precoders: PrecoderSet,
-    gamma_method: str = "auto",
-    *,
-    n_samples: int = 100_000,
-    seed: int = 0,
-    workers: int = 1,
+    scenario: IbcScenario, precoders: PrecoderSet, gamma_method: str = "auto", *,
+    n_samples: int = 100_000, seed: int = 0, workers: int = 1,
 ) -> SandwichBound:
     """Lower/upper bounds on the expected weighted sum rate.
 
@@ -309,33 +350,11 @@ def sandwich_bounds(
     One Monte-Carlo pass of n_samples draws at seed, on workers threads,
     gives the bound's ewsr, bit for bit ewsr_monte_carlo's, and every
     sampled limit, Gamma(inf) + Z_HIGH_SNR se with E ln|H H^H| taken
-    from the Grams of the same draws. A deterministic scenario needs no
-    pass: its ewsr is the surrogate, with standard error 0.
+    from the Grams of the same draws, or, for an interference spec
+    whose law the user's draws miss (GapSpec._draws_law_of), from its
+    own draws in the same pass. The pass runs even when every limit is
+    closed-form, so its cost is that of ewsr_monte_carlo at the same
+    n_samples. A deterministic scenario needs no pass: its ewsr is the
+    surrogate, with standard error 0.
     """
-    n_samples, seed, workers = check_run(n_samples, seed, workers)
-    streams = _stream_specs(scenario, precoders, range(scenario.n_users))
-    term_specs = [_split(*pair) for pair in streams]
-    esei = _weighted_sum(scenario, _esei_of(term_specs))
-    limits = [[_gamma_limit(spec, gamma_method) for spec in pair] for pair in term_specs]
-    sampled = [
-        (k, side) for k, pair in enumerate(limits) for side in (0, 1) if pair[side][0] is None
-    ]
-    if _is_deterministic(scenario):
-        ewsr = MonteCarloEstimate(esei, 0.0, n_samples, seed)
-    else:
-        ewsr, *terms = _monte_carlo_pass(scenario, streams, n_samples, seed, workers, sampled)
-        for (k, side), est in zip(sampled, terms[2 * len(streams) :]):
-            gamma = float(_esei_term(term_specs[k][side], [np.inf])[0]) - est.value
-            limits[k][side] = (max(gamma + Z_HIGH_SNR * est.std_error, 0.0), limits[k][side][1])
-    gk, gkbar = (np.array([pair[side][0] for pair in limits]) for side in (0, 1))
-    weights = np.array([u.rate_weight for u in scenario.users])
-    used = weights != 0.0  # so that 0 * inf adds nothing instead of NaN
-    return SandwichBound(
-        lower=esei - float(weights[used] @ gk[used]),
-        upper=esei + float(weights[used] @ gkbar[used]),
-        esei_value=esei,
-        per_user_gamma_k=gk,
-        per_user_gamma_kbar=gkbar,
-        method_per_user=[max(a[1], b[1], key=_TAG_ORDER.index) for a, b in limits],
-        ewsr=ewsr,
-    )
+    return _sandwich(scenario, precoders, gamma_method, n_samples, seed, workers)[0]

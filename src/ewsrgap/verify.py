@@ -39,7 +39,7 @@ from .oracle import (
     exact_e_log_miso_iid,
     partial_fraction_weights,
 )
-from .rates import esei_terms, sandwich_bounds, user_term_estimates
+from .rates import _sandwich, esei_terms
 from .special import euler_gamma, exp_integral_e1, harmonic
 
 
@@ -220,7 +220,8 @@ def _check_taylor_consistency(seed, scale, workers):
 def _check_sandwich_demo(seed, scale, workers):
     scenario, precoders = demo_scenario()
     n = max(int(50_000 * scale), 2000)
-    bound = sandwich_bounds(scenario, precoders, n_samples=n, seed=seed, workers=workers)
+    # one pass gives the EWSR and the per-user terms of both rows
+    bound, (sig, intf) = _sandwich(scenario, precoders, "auto", n, seed, workers)
     wsr = bound.ewsr.value
     rows = [
         _row(
@@ -231,7 +232,6 @@ def _check_sandwich_demo(seed, scale, workers):
             f"ewsr {wsr:.4f} in [{bound.lower:.4f}, {bound.upper:.4f}]",
         )
     ]
-    _, sig, intf = user_term_estimates(scenario, precoders, n, seed, workers=workers)
     worst = np.inf
     for (esei_sig, esei_int), s_est, i_est in zip(
         esei_terms(scenario, precoders), sig, intf

@@ -265,7 +265,9 @@ def test_criterion_09_sandwich_containment():
     jensen_ok = True
     for s in range(20):
         scenario, precoders = random_zero_mean_scenario(s)
-        bound = sandwich_bounds(scenario, precoders, "auto", seed=900 + s)
+        # every limit here is closed-form: the bound's own pass only gives
+        # its ewsr, which this check does not read, so it can be short
+        bound = sandwich_bounds(scenario, precoders, "auto", n_samples=1000, seed=900 + s)
         wsr, sig, intf = user_term_estimates(scenario, precoders, 100_000, 300 + s)
         if bound.contains(wsr.value):
             contained += 1

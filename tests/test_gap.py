@@ -633,6 +633,24 @@ class TestRankReducedDraws:
             np.hstack([spec.rotated_mean[:, :r], fixed]) @ spec.basis, spec.mean, atol=1e-12
         )
 
+    def test_draws_keep_the_law_of_a_spec_as_strong_as_the_cut(self):
+        # a draw leaves out N times the eigenvalues under the cut, and the
+        # mean's power outside the support once q drops it; a spec on some
+        # of the columns keeps its law from these draws while that is at
+        # most SUPPORT_RTOL of its E||H||_F^2 = ||mean||_F^2 + N tr(cov)
+        mean = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]], dtype=complex)
+        full = GapSpec(mean, np.eye(3))
+        assert full._draws_law_of(full)
+        assert full._draws_law_of(GapSpec(mean * 1e-9, np.zeros((3, 3))))
+        weak = GapSpec(np.zeros((2, 3)), np.diag([1.0, 1e-12, 0.0]))  # leaves out 2e-12
+        for trace, ok in ((2.1e-3, True), (1.9e-3, False)):
+            assert weak._draws_law_of(GapSpec(np.zeros((2, 1)), np.eye(1) * trace / 2)) == ok
+        outside = GapSpec(mean * 1e-6, np.diag([0.0, 0.0, 1.0]))  # leaves out 5e-12 of mean
+        assert outside.gram_rank == 1
+        for power, ok in ((5.1e-3, True), (4.9e-3, False)):
+            side = GapSpec(np.sqrt(power) * np.ones((1, 1)), np.zeros((1, 1)))
+            assert outside._draws_law_of(side) == ok
+
     @pytest.mark.parametrize(
         "make", [_zero_mean_rank_deficient_spec, _rank_deficient_spec,
                  _rank_one_spec_with_outside_mean],
