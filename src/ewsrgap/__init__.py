@@ -44,6 +44,7 @@ from .gap import (
     gamma_inf_miso_iid,
     gamma_rho,
     monotonicity_sweep,
+    shared_sweep,
     taylor_gamma2,
     taylor_gamma2_inf_zero_mean,
 )
@@ -108,6 +109,7 @@ __all__ = [
     "gamma_inf_miso_iid",
     "gamma_rho",
     "monotonicity_sweep",
+    "shared_sweep",
     "taylor_gamma2",
     "taylor_gamma2_inf_zero_mean",
     "HermitianSpectrum",

@@ -12,9 +12,12 @@ line, a header, then data rows):
             for a multi-cell scenario (bundled demo by default)
   verify    batch property suites with pass/fail and measured slack
 
-Values are in nats unless --bits is given. Rerunning any command with
-the same arguments and seed reproduces the data rows byte for byte
-regardless of --workers; only the metadata timestamp changes.
+fig1 and fig2 sweep all their antenna counts in one Monte-Carlo pass:
+rows for different M share random numbers and so are correlated, and the
+largest M draws what it would draw alone. Values are in nats unless
+--bits is given. Rerunning any command with the same arguments and seed
+reproduces the data rows byte for byte regardless of --workers; only the
+metadata timestamp changes.
 Exit codes: 0 ok, 1 property failure, 2 usage or input error.
 """
 
@@ -53,8 +56,7 @@ from .gap import (
     GapSpec,
     check_spec_size,
     gamma_inf_miso_iid,
-    gamma_rho,
-    monotonicity_sweep,
+    shared_sweep,
     taylor_gamma2,
 )
 from .oracle import exact_e_log_miso_iid
@@ -151,16 +153,19 @@ def cmd_fig1(args) -> int:
     snr_db = np.asarray(args.snr_db, dtype=float)
     with np.errstate(over="ignore"):  # the exact oracle rejects an infinite rho
         rho_grid = 10.0 ** (snr_db / 10.0)
+    for M in args.tx_antennas:  # before any covariance, mean or draw is allocated
+        check_spec_size(1, M)
+    # every exact column first, so that a rejected rho costs no sampling
+    exacts = [
+        [np.log1p(rho * M) - exact_e_log_miso_iid(M, rho) for rho in rho_grid]
+        for M in args.tx_antennas
+    ]
+    specs = [GapSpec(np.zeros((1, M)), np.eye(M)) for M in args.tx_antennas]
+    sweeps = shared_sweep(specs, rho_grid, args.samples, args.seed, workers=args.workers)
     rows = []
-    for M in args.tx_antennas:
-        # the exact column first, so that a rejected rho costs no sampling
-        exacts = [np.log1p(rho * M) - exact_e_log_miso_iid(M, rho) for rho in rho_grid]
-        spec = GapSpec(np.zeros((1, M)), np.eye(M))
-        sweep = monotonicity_sweep(
-            spec, rho_grid, args.samples, args.seed, workers=args.workers
-        )
+    for M, exact_column, sweep in zip(args.tx_antennas, exacts, sweeps):
         limit = gamma_inf_miso_iid(M)
-        for s, rho, exact, est in zip(snr_db, rho_grid, exacts, sweep):
+        for s, rho, exact, est in zip(snr_db, rho_grid, exact_column, sweep):
             rows.append(
                 [
                     M,
@@ -194,15 +199,17 @@ def cmd_fig2(args) -> int:
     for M in args.tx_antennas:  # before any covariance, mean or draw is allocated
         check_spec_size(args.rx_antennas, M)
     cov = load_cov_file(args.cov) if args.cov else None
-    rows = []
-    for M in args.tx_antennas:
+    specs = []
+    for M in args.tx_antennas:  # every spec is checked before the one sweep
         C = cov if cov is not None else exp_profile_cov(M)
         if C.shape[0] != M:
             raise ValidationError(
                 f"covariance is {C.shape[0]} x {C.shape[0]} but --tx-antennas asks for {M}"
             )
-        spec = GapSpec(np.zeros((args.rx_antennas, M)), C)
-        est = gamma_rho(spec, args.rho, args.samples, args.seed, workers=args.workers)
+        specs.append(GapSpec(np.zeros((args.rx_antennas, M)), C))
+    sweeps = shared_sweep(specs, [args.rho], args.samples, args.seed, workers=args.workers)
+    rows = []
+    for M, spec, (est,) in zip(args.tx_antennas, specs, sweeps):
         g2 = taylor_gamma2(spec, args.rho)
         rel = abs(g2 - est.value) / abs(est.value) if est.value != 0.0 else np.inf
         rows.append(

@@ -13,11 +13,11 @@ channels, the second-order
 approximation Gamma_2, and e_log_quadform: exact quadrature of
 E ln(1 + rho x) for a single-antenna spec with any mean and spectrum.
 
-Every Monte-Carlo draw of a GapSpec, here and in `rates`, comes from
-``GapSpec.draw``, which samples in the eigenbasis of
-cov = V diag(lambda) V^H. Since sqrt(cov) = V diag(sqrt(lambda)) V^H,
-H V = mean V + (W V) diag(sqrt(lambda)), and W V has the law of W
-because V is unitary. Only the r eigenvalues above SUPPORT_RTOL times
+Every Monte-Carlo draw of a GapSpec, here and in `rates`, is shaped
+from normals W by one method (``GapSpec.draw`` draws its own W) in the
+eigenbasis of cov = V diag(lambda) V^H. Since sqrt(cov) = V
+diag(sqrt(lambda)) V^H, H V = mean V + (W V) diag(sqrt(lambda)), and
+W V has the law of W because V is unitary. Only the r eigenvalues above SUPPORT_RTOL times
 the largest count: on the other M - r columns H V is the fixed
 (mean V)[:, r:], whose thin SVD U diag(s) W^H keeps it as q <= N
 columns U diag(s). So a draw is [mean V_r + W diag(sqrt(lambda_r)), U s],
@@ -26,19 +26,24 @@ M x M root, and ``GapSpec.basis``, [V^H[:r]; W^H V^H[r:]], maps it back:
 X basis has the law of H, and X X^H the law of H H^H. A full-rank
 spec (r = M) has q = 0 and basis V^H.
 
-monotonicity_sweep (and so gamma_rho) walks each Monte-Carlo chunk in
-blocks of BLOCK_ENTRIES // (N (r + q)) samples: one draw from the chunk's
-generator, its Grams and its log-dets per block, written into the
-chunk's rows. A block's working set (1 MiB of draws) stays in cache,
-where a whole full-rank chunk at M = 256, N = 4 is 64 MiB. The bits do not
-change: standard_normal fills values in order from one bit generator,
-so consecutive blocks draw what one whole-chunk call would; every Gram
-and log-det is per sample; and the chunk sums run over the same
-(count, P) array. The EWSR in `rates` keeps whole-chunk draws, because
-it draws every user from one generator per chunk, users in order, so
-blocking it would change which draws a seed gives each user; its
-draws are N (r + q) wide, the rank of a user's stream covariance plus
-its mean's part outside it, and small at the sizes it runs.
+shared_sweep (monotonicity_sweep and gamma_rho are its one-spec cases)
+walks each Monte-Carlo chunk in blocks of BLOCK_ENTRIES // max N (r + q)
+samples, the max over its specs. A block draws one W of shape (block,
+max N, max r) from the chunk's generator; each spec shapes its draw from
+W[:, :N, :r], i.i.d. CN(0, 1) as any block of W is, then takes its Grams
+and log-dets into the chunk's rows. So the specs of one sweep (fig1's and
+fig2's antenna counts) share random numbers and are correlated, and one
+with the largest N, r and N (r + q) draws what it draws alone, bit for
+bit. A block's working set (1 MiB of draws) stays in cache, where a whole
+full-rank chunk at M = 256, N = 4 is 64 MiB. Blocking changes no bit:
+standard_normal fills values in order from one bit generator, so
+consecutive blocks draw what one whole-chunk call would; every Gram and
+log-det is per sample; and each column is summed on its own. The EWSR in
+`rates` keeps whole-chunk draws, because it draws every user from one
+generator per chunk, users in order, so blocking it would change which
+draws a seed gives each user; its draws are N (r + q) wide, the rank of
+a user's stream covariance plus its mean's part outside it, and small at
+the sizes it runs.
 """
 
 from __future__ import annotations
@@ -139,14 +144,20 @@ class GapSpec:
         the law of H. One complex_normal call of shape (count, N, r); at
         full rank that is (count, N, M) and there are no fixed columns.
         """
+        W = complex_normal(rng, (count, self.n_rx, self.support_rank))
+        return self._shape(W, out=W)
+
+    def _shape(self, W: np.ndarray, out=None) -> np.ndarray:
+        """The draw made of W, (count, N, r) i.i.d. CN(0, 1): scaled by the
+        roots into ``out`` (a new array by default), shifted by mean V_r and
+        followed by the fixed columns U s."""
         r = self.support_rank
-        X = complex_normal(rng, (count, self.n_rx, r))
-        X *= self.spectrum.roots()[:r]
+        X = np.multiply(W, self.spectrum.roots()[:r], out=out)
         if np.any(self.mean):
             X += self.rotated_mean[:, :r]
         fixed = self._off_support[0]
         if fixed.shape[1]:
-            X = np.concatenate([X, np.broadcast_to(fixed, (count,) + fixed.shape)], axis=2)
+            X = np.concatenate([X, np.broadcast_to(fixed, (len(X),) + fixed.shape)], axis=2)
         return X
 
     @cached_property
@@ -272,10 +283,10 @@ def gamma_rho(
     at different rho from the same seed share their random numbers.
     rho = +inf gives Gamma(inf) = ln|E H H^H| - E ln|H H^H| itself,
     which is +inf, and a DomainError, for a random spec whose H H^H is
-    singular almost surely (``gram_rank`` below N).
+    singular almost surely (``gram_rank`` below N). It is
+    monotonicity_sweep on the grid [rho].
     """
-    sweep = monotonicity_sweep(spec, [rho], n_samples, seed, workers=workers)
-    return sweep[0]
+    return monotonicity_sweep(spec, [rho], n_samples, seed, workers=workers)[0]
 
 
 def monotonicity_sweep(
@@ -289,7 +300,20 @@ def monotonicity_sweep(
 
     Returns a SweepResult whose diff_std_errors let successive grid
     differences be tested at their paired precision. The grid may end
-    in +inf, as for gamma_rho.
+    in +inf, as for gamma_rho. It is shared_sweep of [spec].
+    """
+    return shared_sweep([spec], rho_grid, n_samples, seed, workers=workers)[0]
+
+
+def shared_sweep(
+    specs, rho_grid, n_samples: int, seed: int, workers: int = 1
+) -> list[SweepResult]:
+    """monotonicity_sweep for every spec of ``specs`` from one Monte-Carlo
+    pass: a list of one SweepResult per spec. Each spec reads its draws off
+    the leading rows and columns of one block of normals (see the module
+    docstring), so the results share random numbers and are correlated.
+    Every spec is checked before any draw; a grid without a positive rho
+    draws nothing.
     """
     if np.ndim(rho_grid) != 1 or np.size(rho_grid) == 0:
         raise DomainError("rho grid must be a non-empty 1-d sequence")
@@ -297,45 +321,50 @@ def monotonicity_sweep(
     n_samples, seed, workers = check_run(n_samples, seed, workers)
     if np.any(rhos[1:] < rhos[:-1]):
         raise DomainError("rho grid must be ascending")
+    if not (specs := list(specs)):
+        raise DomainError("specs must be a non-empty sequence")
 
-    first = _esei_term(spec, rhos)
-
-    # A deterministic spec (empty support): both terms coincide at every rho.
-    if spec.support_rank == 0:
-        ests = [
-            MonteCarloEstimate(0.0, 0.0, n_samples, seed, rho=float(r)) for r in rhos
-        ]
-        return SweepResult(ests, np.zeros(max(rhos.size - 1, 0)))
-    if rhos[-1] == np.inf and spec.gram_rank < spec.n_rx:
-        raise DomainError(f"Gamma(inf) is +inf: H H^H has rank {spec.gram_rank} < {spec.n_rx}")
+    firsts = [_esei_term(spec, rhos) for spec in specs]
+    # A deterministic spec (empty support) draws nothing: both terms
+    # coincide at every rho, and its columns of the pass stay zero.
+    drawn = [spec for spec in specs if spec.support_rank]
+    for spec in drawn:
+        if rhos[-1] == np.inf and spec.gram_rank < spec.n_rx:
+            raise DomainError(f"Gamma(inf) is +inf: H H^H has rank {spec.gram_rank} < {spec.n_rx}")
 
     positive = rhos > 0.0
     rho_pos = rhos[positive]
-    block = BLOCK_ENTRIES // (spec.n_rx * spec.gram_rank)  # >= 2 under check_spec_size
+    S, P = len(specs), rhos.size
+    mc_mean, mc_se, diff_se = np.zeros(S * P), np.zeros(S * P), np.zeros(S * P - 1)
+    if drawn and rho_pos.size:
+        N = max(spec.n_rx for spec in drawn)
+        r = max(spec.support_rank for spec in drawn)
+        # >= 2 under check_spec_size
+        block = BLOCK_ENTRIES // max(spec.n_rx * spec.gram_rank for spec in drawn)
 
-    def evaluate(rng, count):
-        vals = np.zeros((count, rhos.size))
-        for start in range(0, count, block):
-            X = spec.draw(rng, min(block, count - start))
-            if rho_pos.size:
-                G = linalg.gram(X)
-                vals[start : start + len(X), positive] = linalg.gram_log_rates(G, rho_pos)
-        return vals
+        def evaluate(rng, count):
+            vals = np.zeros((count, S, P))
+            for start in range(0, count, block):
+                W = complex_normal(rng, (min(block, count - start), N, r))
+                for s, spec in enumerate(specs):
+                    if spec.support_rank:
+                        X = spec._shape(W[:, : spec.n_rx, : spec.support_rank])
+                        rows = vals[start : start + len(W), s]
+                        rows[:, positive] = linalg.gram_log_rates(linalg.gram(X), rho_pos)
+            return vals.reshape(count, S * P)
 
-    mc_mean, mc_se, diff_se = vector_stats(
-        n_samples, seed, evaluate, workers=workers, track_diffs=True
-    )
-    ests = [
-        MonteCarloEstimate(
-            value=float(first[p] - mc_mean[p]),
-            std_error=float(mc_se[p]),
-            n_samples=n_samples,
-            seed=seed,
-            rho=float(rhos[p]),
+        mc_mean, mc_se, diff_se = vector_stats(
+            n_samples, seed, evaluate, workers=workers, track_diffs=True
         )
-        for p in range(rhos.size)
-    ]
-    return SweepResult(ests, diff_se)
+    results = []
+    for s, (spec, first) in enumerate(zip(specs, firsts)):
+        values = first - mc_mean[s * P : (s + 1) * P] if spec.support_rank else np.zeros(P)
+        ests = [
+            MonteCarloEstimate(float(v), float(se), n_samples, seed, rho=float(rho))
+            for v, se, rho in zip(values, mc_se[s * P : (s + 1) * P], rhos)
+        ]
+        results.append(SweepResult(ests, diff_se[s * P : (s + 1) * P - 1]))
+    return results
 
 
 def gamma_inf_miso_iid(M: int) -> float:

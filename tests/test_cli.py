@@ -45,6 +45,21 @@ def data_text(path):
     return "".join(lines[1:])
 
 
+def _spy_vector_stats(monkeypatch):
+    """The calls of the gap estimator's Monte-Carlo pass, which still runs."""
+    import ewsrgap.gap
+
+    calls = []
+    original = ewsrgap.gap.vector_stats
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ewsrgap.gap, "vector_stats", counted)
+    return calls
+
+
 FIG1_FAST = ["fig1", "--samples", "2000", "--snr-db=-10:50:10",
              "--tx-antennas", "1,2"]
 
@@ -123,6 +138,21 @@ class TestFig1:
         main(FIG1_FAST + ["--out", str(b), "--workers", "4"])
         assert data_text(a) == data_text(b)
 
+    def test_widest_antenna_count_keeps_its_bits(self, tmp_path):
+        # every M reads its draws off the widest M's normals
+        both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
+        main(FIG1_FAST + ["--out", str(both)])
+        main(FIG1_FAST[:-1] + ["2", "--out", str(alone)])
+        _, _, rows = read_csv(both)
+        assert [r for r in rows if r[0] == "2"] == read_csv(alone)[2]
+
+    def test_every_input_checked_before_any_sweep(self, tmp_path, capsys, monkeypatch):
+        calls = _spy_vector_stats(monkeypatch)
+        code = main(["fig1", "--snr-db", "0", "--tx-antennas", "1,30000",
+                     "--out", str(tmp_path / "fig1.csv")])
+        assert code == 2 and calls == []
+        assert "30000" in capsys.readouterr().err
+
     def test_stdout_default(self, capsys):
         assert main(["fig1", "--samples", "500", "--snr-db", "0",
                      "--tx-antennas", "1"]) == 0
@@ -165,6 +195,21 @@ class TestFig2:
                      "--cov", str(cov_path)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_every_spec_checked_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        cov_path = tmp_path / "cov.json"
+        cov_path.write_text(json.dumps(np.eye(8).tolist()))
+        calls = _spy_vector_stats(monkeypatch)
+        code = main(["fig2", "--samples", "2000", "--tx-antennas", "8,16",
+                     "--cov", str(cov_path)])
+        assert code == 2 and calls == []
+        assert "covariance is 8 x 8" in capsys.readouterr().err
+
+    def test_widest_antenna_count_keeps_its_bits(self, tmp_path):
+        both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
+        main(self.FAST + ["--out", str(both)])
+        main(self.FAST[:4] + ["8"] + self.FAST[5:] + ["--out", str(alone)])
+        assert read_csv(both)[2][1] == read_csv(alone)[2][0]
 
     def test_bad_cov_json_is_usage_error(self, tmp_path, capsys):
         cov_path = tmp_path / "cov.json"

@@ -25,6 +25,7 @@ from ewsrgap.gap import (
     gamma_inf_miso_iid,
     gamma_rho,
     monotonicity_sweep,
+    shared_sweep,
     taylor_gamma2,
     taylor_gamma2_inf_zero_mean,
 )
@@ -69,6 +70,19 @@ def _rank_one_spec_with_outside_mean():
 
 
 SAMPLER_SPECS = [_correlated_spec, _rank_deficient_spec]
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of ewsrgap.gap.<name>, which still runs."""
+    calls = []
+    original = getattr(gap, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gap, name, counted)
+    return calls
 
 
 class TestGapSpec:
@@ -706,11 +720,13 @@ class TestRankReducedDraws:
 
 
 class TestMonotonicitySweep:
-    def test_zero_grid(self):
+    def test_zero_grid(self, monkeypatch):
+        # a grid without a positive rho draws nothing
+        calls = _counting(monkeypatch, "complex_normal")
         spec = GapSpec(mean=np.zeros((1, 2)), cov=np.eye(2))
         res = monotonicity_sweep(spec, [0.0], 100, 0)
-        assert len(res) == 1 and res[0].value == 0.0
-        assert res.diff_std_errors.size == 0
+        assert len(res) == 1 and res[0].value == 0.0 and res[0].std_error == 0.0
+        assert res.diff_std_errors.size == 0 and calls == []
 
     def test_twenty_point_grid_monotone(self):
         spec = GapSpec(mean=np.zeros((1, 2)), cov=np.eye(2))
@@ -798,3 +814,73 @@ class TestBlockedSweep:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+def _shared_specs():
+    """A list with the widest spec (N = 4, r = 8) first, then narrower
+    ones: zero mean with N = 1, a rank-one covariance with q = 2 fixed
+    columns, a deterministic spec and a rank-deficient one."""
+    return [
+        GapSpec(_mean(np.random.default_rng(35), 4, 8), exp_profile_cov(8, 0.6)),
+        GapSpec(np.zeros((1, 3)), exp_profile_cov(3, 0.4)),
+        _rank_one_spec_with_outside_mean(),
+        GapSpec(np.ones((2, 3)), np.zeros((3, 3))),
+        _rank_deficient_spec(),
+    ]
+
+
+class TestSharedSweep:
+    """shared_sweep draws one (max N) x (max r) block of normals for all
+    specs; each spec reads its draw off the leading rows and columns."""
+
+    GRID = [0.0, 1.0, 1e3, np.inf]
+    N_SAMPLES = 2 * CHUNK_SIZE + 5
+
+    def test_widest_spec_keeps_its_bits(self):
+        specs = _shared_specs()
+        shared = shared_sweep(specs, self.GRID, self.N_SAMPLES, 23)
+        alone = monotonicity_sweep(specs[0], self.GRID, self.N_SAMPLES, 23)
+        assert [(e.value.hex(), e.std_error.hex()) for e in shared[0]] == [
+            (e.value.hex(), e.std_error.hex()) for e in alone
+        ]
+        assert [d.hex() for d in shared[0].diff_std_errors] == [
+            d.hex() for d in alone.diff_std_errors
+        ]
+
+    def test_narrower_specs_keep_their_law(self):
+        specs = _shared_specs()
+        shared = shared_sweep(specs, self.GRID, self.N_SAMPLES, 23)
+        assert len(shared) == len(specs)
+        for spec, res in zip(specs[1:], shared[1:]):
+            alone = monotonicity_sweep(spec, self.GRID, self.N_SAMPLES, 24)
+            assert res.diff_std_errors.shape == (len(self.GRID) - 1,)
+            for x, y in zip(res, alone):
+                assert x.rho == y.rho and x.n_samples == y.n_samples
+                assert abs(x.value - y.value) <= 5.0 * np.hypot(x.std_error, y.std_error)
+        assert all(e.value == 0.0 and e.std_error == 0.0 for e in shared[3])
+
+    def test_worker_count_bit_identical(self):
+        specs = _shared_specs()
+        a = shared_sweep(specs, self.GRID, self.N_SAMPLES, 25, workers=1)
+        b = shared_sweep(specs, self.GRID, self.N_SAMPLES, 25, workers=3)
+        for x, y in zip(a, b):
+            assert [(e.value, e.std_error) for e in x] == [(e.value, e.std_error) for e in y]
+            assert np.array_equal(x.diff_std_errors, y.diff_std_errors)
+
+    def test_one_draw_per_block_for_all_specs(self, monkeypatch):
+        # fig1's M = 1 and 64 read one (1024, 1, 64) draw per block
+        calls = _counting(monkeypatch, "complex_normal")
+        specs = [GapSpec(np.zeros((1, M)), np.eye(M)) for M in (1, 64)]
+        shared_sweep(specs, [1.0, 1e3], CHUNK_SIZE, 3)
+        assert [shape for _, shape in calls] == [(1024, 1, 64)] * 4
+
+    def test_rank_deficient_limit_raises_before_any_draw(self, monkeypatch):
+        calls = _counting(monkeypatch, "complex_normal")
+        singular = GapSpec(np.zeros((2, 3)), np.diag([1.0, 0.0, 0.0]))  # gram_rank 1 < 2
+        with pytest.raises(DomainError, match="rank 1 < 2"):
+            shared_sweep([_correlated_spec(), singular], [1.0, np.inf], 100, 0)
+        assert calls == []
+
+    def test_empty_spec_list(self):
+        with pytest.raises(DomainError, match="specs"):
+            shared_sweep([], [1.0], 100, 0)
