@@ -13,11 +13,11 @@ channels, the second-order
 approximation Gamma_2, and e_log_quadform: exact quadrature of
 E ln(1 + rho x) for a single-antenna spec with any mean and spectrum.
 
-Every Monte-Carlo draw of a GapSpec, here and in `rates`, is shaped
-from normals W by one method (``GapSpec.draw`` draws its own W) in the
-eigenbasis of cov = V diag(lambda) V^H. Since sqrt(cov) = V
-diag(sqrt(lambda)) V^H, H V = mean V + (W V) diag(sqrt(lambda)), and
-W V has the law of W because V is unitary. Only the r eigenvalues above SUPPORT_RTOL times
+Every Monte-Carlo draw of a GapSpec, here and in `rates`, is made of
+normals by ``GapSpec._shape`` (``draw`` draws its own) in the eigenbasis of
+cov = V diag(lambda) V^H. Since sqrt(cov) = V diag(sqrt(lambda)) V^H,
+H V = mean V + (W V) diag(sqrt(lambda)), and W V has the law of W
+because V is unitary. Only the r eigenvalues above SUPPORT_RTOL times
 the largest count: on the other M - r columns H V is the fixed
 (mean V)[:, r:], whose thin SVD U diag(s) W^H keeps it as q <= N
 columns U diag(s). So a draw is [mean V_r + W diag(sqrt(lambda_r)), U s],
