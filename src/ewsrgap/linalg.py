@@ -7,7 +7,13 @@ surface at the boundary instead of deep inside a Monte-Carlo loop.
 ``gram`` and ``gram_log_rates`` are the batched kernels: every sampled
 Gram goes through ``gram``, and every log-det the package takes, of an
 expected Gram or of sampled ones, at any rho from 0 to +inf, through
-``gram_log_rates``.
+``gram_log_rates``. For two receive antennas both are a few whole-batch
+vector operations: ``gram`` sums the off-diagonal entry of a draw up to
+GRAM_COLUMNS_MAX columns wide column by column and takes row dot
+products of a wider one, the width rule coming with the timings it was
+read from; ``gram_log_rates`` takes a finite rho through the 2 x 2
+Cholesky (Schur complement) form of ln det(I + rho G), while rho = +inf
+keeps the closed-form eigenvalues.
 
 The package's LAPACK calls and covariance-sized products run inside
 ``serial_blas``, on one OpenBLAS thread: OpenBLAS threads an eigh from
@@ -15,8 +21,9 @@ The package's LAPACK calls and covariance-sized products run inside
 about 125 ms of CPU, taken from the Monte-Carlo worker pool, which is
 the package's parallelism. While a scope is open, other threads' BLAS
 calls run on one thread too. Without OpenBLAS 0.3.27 or later it does
-nothing. The batched N x N kernels below never reach a threading size
-and run outside it.
+nothing. The batched N x N products and eigenvalues below never reach a
+threading size and run outside it; the row dot products of a wide
+``gram`` grow with the draw's width and run inside.
 """
 
 from __future__ import annotations
@@ -165,74 +172,125 @@ def psd_eig(C) -> HermitianSpectrum:
     return spec
 
 
+# The widest draw whose N = 2 Gram ``gram`` forms by column sums; wider
+# draws take a dot product of two rows per sample and entry. Median of three
+# alternating runs, microseconds per call, n = 4096 samples (a full
+# Monte-Carlo chunk), on a shared 2-vCPU Intel Xeon, numpy 2.4.6, OpenBLAS
+# 0.3.31; the switch sits at the last width where the sums are faster:
+#
+#   D          1    2    3    4    6    8    9   10   12   16    64   256
+#   columns   94  160  128  144  172  228  244  266  345  822  4547 29760
+#   dots     127  297  262  265  285  236  253  264  287  292   900  4910
+GRAM_COLUMNS_MAX = 9
+
+
 def gram(X: np.ndarray) -> np.ndarray:
     """The Grams X X^H of a batch X of shape (n, N, D), as (n, N, N).
 
-    For N = 1 and N = 2 every entry is a dot product over the
-    interleaved (real, imag) parts of two rows: the diagonal sums the
-    squares of one row, the real part of entry (1, 0) pairs rows 1 and
-    0 term by term, its imaginary part pairs the imaginary parts of
-    row 1 with the real parts of row 0 and the other way round. That
-    is a few n-long reductions instead of n tiny complex products.
-    From N = 3 on it is one batched matmul. Non-finite or overflowing
-    entries give non-finite Grams, without warnings.
+    N = 1 reads the diagonal as one dot product over the interleaved
+    (real, imag) parts of each row. For N = 2 and a draw up to
+    GRAM_COLUMNS_MAX columns wide, the diagonal is one einsum over those
+    parts and x_1 conj(x_0) is summed one column at a time, a
+    whole-batch product per column; a wider draw takes each entry as a
+    batched ``np.vecdot`` of two rows, on one BLAS thread. The table
+    above GRAM_COLUMNS_MAX gives the timings behind the switch. From
+    N = 3 on it is one batched matmul. Non-finite or overflowing entries
+    give non-finite Grams, without warnings.
     """
     n, N, D = X.shape
     with np.errstate(over="ignore", invalid="ignore"):
         if N > 2:
             return X @ np.conj(np.swapaxes(X, 1, 2))
-        pairs = np.ascontiguousarray(X, dtype=complex).view(np.float64).reshape(n, N, 2 * D)
-        G = np.zeros((n, N, N), dtype=complex)
-        for i in range(N):
-            G[:, i, i] = np.einsum("nj,nj->n", pairs[:, i], pairs[:, i])
-        if N == 2:
-            re, im = pairs[:, :, 0::2], pairs[:, :, 1::2]
-            G[:, 1, 0].real = np.einsum("nj,nj->n", pairs[:, 1], pairs[:, 0])
-            G[:, 1, 0].imag = np.einsum("nj,nj->n", im[:, 1], re[:, 0]) - np.einsum(
-                "nj,nj->n", re[:, 1], im[:, 0]
-            )
-            G[:, 0, 1] = np.conj(G[:, 1, 0])
+        pairs = np.ascontiguousarray(X, dtype=complex).view(np.float64)
+        G = np.empty((n, N, N), dtype=complex)
+        if N == 1:
+            rows = pairs.reshape(n, 2 * D)
+            G[:, 0, 0] = np.einsum("nj,nj->n", rows, rows)
+            return G
+        if D <= GRAM_COLUMNS_MAX:
+            diag = np.einsum("nij,nij->ni", pairs, pairs)
+            cross = np.zeros(n, dtype=complex)
+            for j in range(D):
+                cross += X[:, 1, j] * np.conj(X[:, 0, j])
+        else:
+            with serial_blas():
+                diag = np.vecdot(pairs, pairs)
+                cross = np.vecdot(X[:, 0], X[:, 1])
+        G[:, 0, 0], G[:, 1, 1] = diag[:, 0], diag[:, 1]
+        G[:, 1, 0] = cross
+        G[:, 0, 1] = np.conj(cross)
     return G
 
 
-def gram_log_rates(G: np.ndarray, rhos) -> np.ndarray:
-    """Per-sample ln det(I + rho G) for a PSD batch G of shape (n, N, N).
+def _eigenvalues_2x2(G: np.ndarray) -> np.ndarray:
+    """The two eigenvalues of each Gram of a batch G of shape (n, 2, 2),
+    (n, 2), largest first, negative ones clipped to zero.
 
-    Returns shape (n, len(rhos)): the whole rho grid comes from one set
-    of Gram eigenvalues g per sample, negative ones clipped to zero, and
-    each column is bit for bit that of a call with its rho alone. A
-    rho of +inf stands for the high-SNR offset sum ln g = ln det G
-    (Lozano, Tulino & Verdu, IEEE T-IT 2005), -inf for a singular G. N = 1
-    reads the diagonal, N = 2 uses the closed form below and N >= 3
-    calls batched eigvalsh.
-
-    For N = 2, with a, d the diagonal and b the lower off-diagonal entry,
+    With a, d the diagonal and b the lower off-diagonal entry,
     lambda_max = a/2 + d/2 + hypot((a - d)/2, |b|) and lambda_min =
     (a d - |b|^2) / lambda_max, evaluated as a (d/lambda_max) -
     |b| (|b|/lambda_max). The quotient form is more accurate on rank-one
     Grams than (a + d)/2 - hypot, the split keeps a = d, b = 0 exact, and
     halving before adding keeps a + d from overflowing.
-    Non-finite entries or an overflowing rho G give non-finite rates,
-    without warnings.
+    """
+    a, d, b = G[:, 0, 0].real, G[:, 1, 1].real, np.abs(G[:, 1, 0])
+    top = np.maximum(0.5 * a + 0.5 * d + np.hypot(0.5 * (a - d), b), 0.0)
+    low = np.where(top > 0.0, a * (d / top) - b * (b / top), 0.0)
+    return np.stack([top, np.maximum(low, 0.0)], axis=1)
+
+
+def _cholesky_log_rates_2x2(G: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """ln det(I + rho G) of each 2 x 2 PSD Gram of G at each finite
+    rho >= 0 of rhos, (n, len(rhos)), from the Cholesky factor of I + rho G.
+
+    With a, d the diagonal and c the lower off-diagonal entry,
+    det(I + rho G) = (1 + rho a)(1 + rho t) for the Schur complement
+    t = d - |c|^2 rho / (1 + rho a), so the rate is
+    log1p(rho a) + log1p(rho max(t, 0)), with a clipped to zero as the
+    eigenvalues are. |c| (|c| (rho / (1 + rho a))) is at most
+    |c|^2 / a <= d and cannot overflow, nor make 0 * inf when rho a does,
+    so a rate is infinite only where rho a or rho t overflows.
+    """
+    a = np.maximum(G[:, 0, 0].real, 0.0)[:, None]
+    c = np.abs(G[:, 1, 0])[:, None]
+    rho_a = a * rhos
+    schur = G[:, 1, 1].real[:, None] - c * (c * (rhos / (1.0 + rho_a)))
+    return np.log1p(rho_a) + np.log1p(rhos * np.maximum(schur, 0.0))
+
+
+def gram_log_rates(G: np.ndarray, rhos) -> np.ndarray:
+    """Per-sample ln det(I + rho G) for a PSD batch G of shape (n, N, N).
+
+    Returns shape (n, len(rhos)), and each column is bit for bit that of
+    a call with its rho alone. A rho of +inf stands for the high-SNR
+    offset sum ln g = ln det G over the Gram eigenvalues g, negative
+    ones clipped to zero (Lozano, Tulino & Verdu, IEEE T-IT 2005), -inf
+    for a singular G.
+
+    N = 1 reads the diagonal and N >= 3 calls batched eigvalsh; the
+    whole rho grid comes from one set of eigenvalues per sample. For
+    N = 2 a finite rho takes the Cholesky form of
+    ``_cholesky_log_rates_2x2`` and rho = +inf the closed-form
+    eigenvalues of ``_eigenvalues_2x2``. Non-finite entries or an
+    overflowing rho G give non-finite rates, without warnings.
     """
     rhos = np.asarray(rhos, dtype=float)
     N = G.shape[1]
-    if N == 1:
-        g = np.clip(G[:, :, 0].real, 0.0, None)
-    elif N == 2:
-        a, d, b = G[:, 0, 0].real, G[:, 1, 1].real, np.abs(G[:, 1, 0])
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            top = np.maximum(0.5 * a + 0.5 * d + np.hypot(0.5 * (a - d), b), 0.0)
-            low = np.where(top > 0.0, a * (d / top) - b * (b / top), 0.0)
-        g = np.stack([top, np.maximum(low, 0.0)], axis=1)
-    else:
-        # eigvalsh fails on a non-finite Gram; such samples get infinite rates
-        finite = np.isfinite(G).all(axis=(1, 2))
-        g = np.full(G.shape[:2], np.inf)
-        g[finite] = np.clip(np.linalg.eigvalsh(G[finite]), 0.0, None)
     high = rhos == np.inf
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # ln 0 = -inf
-        rates = np.log1p(g[:, None, :] * rhos[None, :, None]).sum(axis=2)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # ln 0 = -inf
+        if N == 2:
+            # the +inf columns are taken at rho = 0 here and replaced below
+            rates = _cholesky_log_rates_2x2(G, np.where(high, 0.0, rhos))
+            g = _eigenvalues_2x2(G) if high.any() else None
+        else:
+            if N == 1:
+                g = np.clip(G[:, :, 0].real, 0.0, None)
+            else:
+                # eigvalsh fails on a non-finite Gram; such samples get infinite rates
+                finite = np.isfinite(G).all(axis=(1, 2))
+                g = np.full(G.shape[:2], np.inf)
+                g[finite] = np.clip(np.linalg.eigvalsh(G[finite]), 0.0, None)
+            rates = np.log1p(g[:, None, :] * rhos[None, :, None]).sum(axis=2)
         if high.any():
             rates[:, high] = np.log(g).sum(axis=1)[:, None]
     return rates

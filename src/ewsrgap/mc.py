@@ -13,12 +13,15 @@ and kept for the rest of the process.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, check_integer
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 CHUNK_SIZE = 4096
 
@@ -73,7 +76,11 @@ def check_run(n_samples, seed, workers=1):
 
 
 def _pool(workers: int) -> ThreadPoolExecutor:
-    """The process-wide pool of `workers` threads, started on first use."""
+    """The process-wide pool of `workers` threads, started on first use.
+    concurrent.futures is imported here, not with the package: only a
+    run on more than one worker needs it."""
+    from concurrent.futures import ThreadPoolExecutor
+
     with _pools_lock:
         if workers not in _pools:
             _pools[workers] = ThreadPoolExecutor(

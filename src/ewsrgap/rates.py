@@ -10,10 +10,15 @@ The Monte-Carlo EWSR shares its sampler and its kernels with the gap
 estimator: each user's precoded channels are drawn with
 GapSpec.draw, in the eigenbasis of the stream covariance and only on
 its support (plus the mean's fixed columns outside it), mapped back to
-the user's own streams by GapSpec.basis, their Grams
-formed by linalg.gram and their log-dets taken by
+the user's own streams by GapSpec.basis in one product over the whole
+chunk, their Grams formed by linalg.gram and their log-dets taken by
 linalg.gram_log_rates, the kernel that also takes the ESEI's log-dets
-of the expected Grams. The "monte-carlo-high-snr" gap limit is Gamma(inf)
+of the expected Grams. For two receive antennas those are whole-chunk
+vector operations: Grams by column sums up to linalg.GRAM_COLUMNS_MAX
+columns and by row dot products beyond (the measured crossover is
+tabulated in linalg), log-dets in the 2 x 2 Cholesky form at a finite
+rho and by the closed-form eigenvalues at rho = +inf.
+The "monte-carlo-high-snr" gap limit is Gamma(inf)
 plus Z_HIGH_SNR standard errors, its E ln|H H^H| taken at rho = +inf
 from the Grams of the EWSR's own draws: one Monte-Carlo pass serves both.
 An interference spec whose law those draws miss (GapSpec._draws_law_of)
@@ -97,9 +102,19 @@ def _rate_terms(X: np.ndarray, own_basis: np.ndarray | None, rhos):
     F_own F_own^H with F_own = X basis[:, own]. A user whose own streams
     are all the columns has own_basis None and an interference Gram of
     exactly zero. Returns ln|I + rho .| of both, (n, len(rhos)) each.
+
+    F_own is one (n N) x (r + q) by (r + q) x s product of the batch's
+    rows stacked, not n small ones, inside linalg.serial_blas as the
+    package's other width-sized products.
     """
     S = linalg.gram(X)
-    intf = np.zeros_like(S) if own_basis is None else S - linalg.gram(X @ own_basis)
+    if own_basis is None:
+        intf = np.zeros_like(S)
+    else:
+        n, N, D = X.shape
+        with linalg.serial_blas():
+            own = (X.reshape(n * N, D) @ own_basis).reshape(n, N, -1)
+        intf = S - linalg.gram(own)
     return tuple(linalg.gram_log_rates(G, rhos) for G in (S, intf))
 
 

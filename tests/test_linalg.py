@@ -197,6 +197,19 @@ def _eigvalsh_rates(G, rhos):
     return np.log1p(np.asarray(rhos)[None, None, :] * g[:, :, None]).sum(axis=1)
 
 
+def _mp_log_det(G, rho):
+    """ln det(I + rho G) of each 2 x 2 Gram of G, in 50-digit mpmath."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        out = []
+        for g in G:
+            a, d = mp.mpf(g[0, 0].real), mp.mpf(g[1, 1].real)
+            c2 = mp.mpf(g[1, 0].real) ** 2 + mp.mpf(g[1, 0].imag) ** 2
+            r = mp.mpf(rho)
+            out.append(float(mp.log1p(r * (a + d) + r * r * (a * d - c2))))
+    return np.array(out)
+
+
 class TestGramLogRates:
     RHOS = [1.0, 1e3, 1e6]
 
@@ -269,16 +282,75 @@ class TestGramLogRates:
             warnings.simplefilter("error")
             assert np.isposinf(gram_log_rates(G, [1e6])).all()
 
+    def test_two_by_two_over_the_float_range_without_warnings(self):
+        # Grams with entries from 1e-300 to 1e306: a rate is finite
+        # wherever rho times the diagonal stays in range, accurate wherever
+        # it is finite, +inf only beyond, and never NaN
+        G0 = _gram_batch(_rng(50), 16, 2, 3)
+        scales = 10.0 ** np.arange(-300, 307, 2)
+        G = (scales[:, None, None, None] * G0).reshape(-1, 2, 2)
+        top = np.maximum(G[:, 0, 0].real, G[:, 1, 1].real)
+        for rho in (1.0, 1e6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = gram_log_rates(G, [rho])[:, 0]
+            finite = np.isfinite(got)
+            assert finite[top < np.finfo(float).max / (8.0 * rho)].all()
+            assert np.isposinf(got[~finite]).all()
+            assert finite.all() == (rho == 1.0)
+            want = _mp_log_det(G[finite], rho)
+            assert np.max(np.abs(got[finite] - want) / want) <= 1e-14
+
+    @pytest.mark.parametrize("D", [2, 3, 8])
+    def test_two_by_two_matches_a_50_digit_log_det(self, D):
+        # well-conditioned Grams (condition number at most 100); the error
+        # grows with it on any Gram-based form, see the near-singular test
+        G = _gram_batch(_rng(60 + D), 300, 2, D)
+        w = np.linalg.eigvalsh(G)
+        G = G[w[:, 1] <= 100.0 * w[:, 0]]
+        assert len(G) >= 250
+        for rho in self.RHOS:
+            want = _mp_log_det(G, rho)
+            got = gram_log_rates(G, [rho])[:, 0]
+            assert np.max(np.abs(got - want) / want) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["rank-one", "nearly-equal-rows", "weak-column"])
+    def test_two_by_two_near_singular_within_4x_of_the_eigenvalue_form(self, kind):
+        # the Schur complement of a nearly singular Gram cancels as the
+        # closed-form smaller eigenvalue does; the Cholesky form's worst
+        # error stays within 4 times the eigenvalue form's
+        rng = _rng(70)
+        H = complex_normal(rng, (300, 2, 2))
+        if kind == "rank-one":
+            H = H[:, :, :1]
+        elif kind == "nearly-equal-rows":
+            H[:, 1] = H[:, 0] + 1e-7 * H[:, 1]
+        else:
+            H[:, :, 1] *= 1e-6
+        G = H @ np.conj(np.swapaxes(H, 1, 2))
+        for rho in self.RHOS:
+            want = _mp_log_det(G, rho)
+            got = gram_log_rates(G, [rho])[:, 0]
+            eig = np.log1p(rho * linalg._eigenvalues_2x2(G)).sum(axis=1)
+            assert np.max(np.abs(got - want) / want) <= 4.0 * np.max(np.abs(eig - want) / want)
+
 
 class TestGram:
     @pytest.mark.parametrize("N", [1, 2])
-    @pytest.mark.parametrize("D", [1, 4, 12])
+    @pytest.mark.parametrize(
+        "D",
+        sorted({1, 2, 3, 4, 8, 9, 12, 64, 256, linalg.GRAM_COLUMNS_MAX, linalg.GRAM_COLUMNS_MAX + 1}),
+    )
     def test_small_grams_match_matmul(self, N, D):
+        # for N = 2 the widths fall on both sides of GRAM_COLUMNS_MAX: column
+        # sums up to it, row dot products beyond
         X = complex_normal(_rng(30 + 4 * N + D), (2048, N, D))
         want = X @ np.conj(np.swapaxes(X, 1, 2))
         got = gram(X)
         assert got.shape == (2048, N, N)
         assert got == pytest.approx(want, rel=1e-12)
+        scale = np.max(np.abs(want), axis=(1, 2))
+        assert np.max(np.abs(got - want).max(axis=(1, 2)) / scale) <= 1e-13
         assert np.array_equal(got[:, 0, -1], np.conj(got[:, -1, 0]))
         assert np.array_equal(np.diagonal(got, axis1=1, axis2=2).imag, np.zeros((2048, N)))
 

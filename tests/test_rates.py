@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ewsrgap import channel, gap, rates
+from ewsrgap import channel, gap, linalg, rates
 from ewsrgap.channel import (
     IbcScenario,
     PrecoderSet,
@@ -474,6 +474,21 @@ class TestEwsrMonteCarlo:
         _, sig, intf = user_term_estimates(sc, ps, 4096 + 9, 3)
         assert [e.value for e in sig + intf] == mean[1:].tolist()
 
+    @pytest.mark.parametrize("D", [3, 8])
+    @pytest.mark.parametrize("own", [1, 2])
+    def test_interference_gram_drops_the_own_streams(self, own, D):
+        # the own streams' Gram comes off the signal Gram: rates of
+        # S - gram(X own_basis), own_basis orthonormal columns as the
+        # rows of a unitary stream basis give them
+        rng = np.random.default_rng(90 + D + own)
+        X = complex_normal(rng, (1000, 2, D))
+        own_basis = np.linalg.qr(complex_normal(rng, (D, own)))[0]
+        sig, intf = _rate_terms(X, own_basis, [1.0])
+        S = linalg.gram(X)
+        assert np.array_equal(sig, linalg.gram_log_rates(S, [1.0]))
+        want = linalg.gram_log_rates(S - linalg.gram(X @ own_basis), [1.0])
+        assert np.max(np.abs(intf - want) / want) <= 1e-13
+
     def test_matches_per_link_brute_force(self):
         # an estimator that draws every link separately, with its own stream
         sc, ps = _two_cell_rician()
@@ -666,13 +681,22 @@ class TestSandwichBounds:
         assert sb.contains(est.value)
 
     def test_sampled_limit_is_gamma_inf_plus_three_std_errors(self):
+        # user 0's signal draws are 2 columns wide in the one-user cell and
+        # one per cell in the wider scenario, one on each side of
+        # linalg.GRAM_COLUMNS_MAX
         sc, ps = _single_user_mimo(rho=2.0)
         sc.links[0][0] = GapSpec(mean=sc.links[0][0].mean, cov=0.5 * np.eye(2))
-        sb = sandwich_bounds(sc, ps, "monte-carlo-high-snr", n_samples=5000, seed=3)
-        est = gamma_rho(_term_specs(sc, ps)[0][0], np.inf, 5000, 3)  # the signal spec
-        assert Z_HIGH_SNR == 3.0
-        assert sb.per_user_gamma_k[0] == est.value + 3.0 * est.std_error
-        assert sb.method_per_user == ["monte-carlo-high-snr"]
+        wide = _multicell_uniform(cells=linalg.GRAM_COLUMNS_MAX + 1, per_cell=1)
+        widths = []
+        for sc, ps in [(sc, ps), wide]:
+            spec = _term_specs(sc, ps)[0][0]  # the signal spec
+            sb = sandwich_bounds(sc, ps, "monte-carlo-high-snr", n_samples=5000, seed=3)
+            est = gamma_rho(spec, np.inf, 5000, 3)
+            assert Z_HIGH_SNR == 3.0
+            assert sb.per_user_gamma_k[0] == est.value + 3.0 * est.std_error
+            assert sb.method_per_user == ["monte-carlo-high-snr"] * sc.n_users
+            widths.append(spec.gram_rank)
+        assert widths[0] <= linalg.GRAM_COLUMNS_MAX < widths[1]
 
     def test_taylor_method_on_correlated_spectrum(self):
         # equal-power beams on a correlated covariance have no matching
