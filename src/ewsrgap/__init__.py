@@ -6,7 +6,7 @@ distribution. Moving the expectation inside the log-determinants gives
 a deterministic surrogate (ESEI-WSR) that is cheap to optimize; this
 package computes both, bounds their gap by its monotone infinite-SNR
 limit, and provides the closed forms, second-order approximation,
-Monte-Carlo estimators, and exact oracles that quantify the gap.
+Monte-Carlo estimators, and sampling references that quantify the gap.
 """
 
 __version__ = "0.1.0"
@@ -53,13 +53,7 @@ from .linalg import (
     hermitian_eig,
 )
 from .mc import MonteCarloEstimate, chunk_stream, complex_normal, vector_stats
-from .oracle import (
-    bartlett_sample,
-    brute_force_gap,
-    e_log_quadrature,
-    exact_e_log_miso_corr,
-    exact_e_log_miso_iid,
-)
+from .oracle import bartlett_sample, brute_force_gap
 from .rates import (
     SandwichBound,
     esei_terms,
@@ -69,14 +63,7 @@ from .rates import (
     user_term_estimates,
     wsr_realization,
 )
-from .special import (
-    QuadratureRule,
-    euler_gamma,
-    exp_integral_e1,
-    expn_scaled,
-    gauss_laguerre,
-    harmonic,
-)
+from .special import euler_gamma, harmonic
 from .verify import random_zero_mean_scenario, run_suite
 
 __all__ = [
@@ -120,9 +107,6 @@ __all__ = [
     "vector_stats",
     "bartlett_sample",
     "brute_force_gap",
-    "e_log_quadrature",
-    "exact_e_log_miso_corr",
-    "exact_e_log_miso_iid",
     "SandwichBound",
     "esei_terms",
     "esei_wsr",
@@ -130,11 +114,7 @@ __all__ = [
     "sandwich_bounds",
     "user_term_estimates",
     "wsr_realization",
-    "QuadratureRule",
     "euler_gamma",
-    "exp_integral_e1",
-    "expn_scaled",
-    "gauss_laguerre",
     "harmonic",
     "random_zero_mean_scenario",
     "run_suite",

@@ -395,7 +395,9 @@ def e_log_quadform(lam, mu2, rho) -> float:
     2014, Thm 5.1). The cuts integrate monotone majorants: r e^u and
     e^{-e^u} for finite rho; (1 + E y^2) e^{2u}/4, e^{-e^u} and the tails
     e^{-j u}/(j prod_{i<=j} a_i) of phi (a descending) at rho = inf, whose
-    1/s tail a fixed range would cut.
+    1/s tail a fixed range would cut. Past the float range, r s is cut to
+    the largest float, which moves each node by at most phi there: that
+    is held to tol, and DomainError raised otherwise.
     """
     lam, mu2 = np.asarray(lam, dtype=float), np.asarray(mu2, dtype=float)
     if lam.ndim != 1 or lam.shape != mu2.shape:
@@ -433,10 +435,13 @@ def e_log_quadform(lam, mu2, rho) -> float:
         lo, hi = log_tol - np.log(r), np.log(max(1.0, -log_tol))
     h = 2.0 * np.pi * _STRIP / np.log1p(2.0 * b_tol)
     s = np.exp(lo + h * np.arange(int(np.ceil((hi - lo) / h)) + 1))
-    rs = s if infinite else r * s
+    with np.errstate(over="ignore"):  # cut to the largest float
+        rs = s if infinite else np.minimum(r * s, np.finfo(float).max)
     sa, sb = np.outer(rs, a), np.outer(rs, b)
     log_phi = -np.sum(np.log1p(sa) + sb / (1.0 + sa), axis=1)
     if not infinite:
+        if rs[-1] == np.finfo(float).max and log_phi[-1] > log_tol:
+            raise DomainError("rho E x overflows the float range")
         return float(h * np.sum(-np.expm1(log_phi) * np.exp(-s)))
     # below q = s + ln phi(s) = 1, e^{-s} - phi(s) = -e^{-s} expm1(q), with q
     # summed term by term so that small s loses no digits

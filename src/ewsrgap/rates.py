@@ -177,7 +177,9 @@ def _monte_carlo_pass(scenario, specs, n_samples, seed, workers, sampled=()):
     rhos = [[1.0, np.inf] if (k, 0) in high or (k, 1) in high else [1.0] for k in range(K)]
 
     def evaluate(rng, count):
-        out = np.zeros((count, 1 + 2 * K + len(sampled)))
+        # column-major, so that each user's columns are written and summed
+        # in place: mc._column_sums copies a C-ordered chunk
+        out = np.zeros((count, 1 + 2 * K + len(sampled)), order="F")
         with np.errstate(over="ignore", invalid="ignore"):  # raised after the sums
             for k, ((spec, _), own_basis, weight) in enumerate(zip(specs, own_bases, weights)):
                 sides = _rate_terms(spec.draw(rng, count), own_basis, rhos[k])

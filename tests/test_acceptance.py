@@ -34,14 +34,11 @@ from ewsrgap.gap import (
     taylor_gamma2,
 )
 from ewsrgap.mc import complex_normal
-from ewsrgap.oracle import (
-    bartlett_sample,
-    exact_e_log_miso_corr,
-    exact_e_log_miso_iid,
-)
+from ewsrgap.oracle import bartlett_sample
 from ewsrgap.rates import esei_terms, sandwich_bounds, user_term_estimates
 from ewsrgap.special import euler_gamma, harmonic
 from ewsrgap.verify import random_zero_mean_scenario
+from test_gap import _mp_miso_corr, _mp_miso_iid
 
 RESULTS = []
 
@@ -75,7 +72,7 @@ def test_criterion_02_exact_infinite_snr_forms():
     rho = 1e8
     worst = 0.0
     for M in (1, 2, 4, 8, 16):
-        gap = np.log1p(rho * M) - exact_e_log_miso_iid(M, rho)
+        gap = np.log1p(rho * M) - _mp_miso_iid(M, rho)
         want = euler_gamma() + np.log(M) - (harmonic(M - 1) if M > 1 else 0.0)
         worst = max(worst, abs(gap - want))
     dt = time.perf_counter() - t0
@@ -83,7 +80,7 @@ def test_criterion_02_exact_infinite_snr_forms():
     record(
         2,
         ok,
-        f"M in {{1,2,4,8,16}}: max |ln(1+rho M) - oracle - (gamma + ln M - H_(M-1))| "
+        f"M in {{1,2,4,8,16}}: max |ln(1+rho M) - mpmath - (gamma + ln M - H_(M-1))| "
         f"= {worst:.2e} <= 1e-4, {dt * 1e3:.0f}ms < 1s",
     )
     assert worst <= 1e-4
@@ -143,14 +140,14 @@ def test_criterion_05_correlated_closed_form_vs_oracle():
     worst = 0.0
     for lam in ([1.5, 0.5], lam4):
         lam = np.asarray(lam, dtype=float)
-        gap = np.log1p(rho * lam.sum()) - exact_e_log_miso_corr(lam, rho)
+        gap = np.log1p(rho * lam.sum()) - _mp_miso_corr(lam, rho)
         limit = np.log(lam.sum()) - e_log_quadform(lam, np.zeros_like(lam), np.inf)
         worst = max(worst, abs(gap - limit))
     ok = worst <= 1e-4
     record(
         5,
         ok,
-        f"oracle gap at rho=1e8 vs quadrature limit, spectra {{1.5,0.5}} and random "
+        f"mpmath gap at rho=1e8 vs quadrature limit, spectra {{1.5,0.5}} and random "
         f"4-point: max |diff| = {worst:.2e} <= 1e-4",
     )
     assert worst <= 1e-4

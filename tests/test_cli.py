@@ -25,6 +25,7 @@ from ewsrgap.cli import main
 from ewsrgap.errors import EwsrgapError
 from ewsrgap.gap import GapSpec, gamma_inf_miso_iid
 from ewsrgap.rates import esei_wsr
+from test_gap import _mp_miso_iid
 
 LN2 = float(np.log(2.0))
 
@@ -97,6 +98,19 @@ class TestFig1:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: rho must be a finite real number")
         assert proc.stderr.count("\n") == 1
+
+    def test_exact_column_matches_a_50_digit_reference(self, tmp_path):
+        # E ln(1 + rho x), x ~ Gamma(M, 1), read back from gap_exact on the
+        # antenna counts and SNR grid of the gap-sweep benchmark
+        out = tmp_path / "fig1.csv"
+        assert main(["fig1", "--samples", "100", "--snr-db=-10:60:5",
+                     "--tx-antennas", "1,4,16,64", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert len(rows) == 4 * 15
+        for row in rows:
+            m, rho = int(row[0]), float(row[2])
+            e_log = np.log1p(rho * m) - float(row[3])
+            assert e_log == pytest.approx(_mp_miso_iid(m, rho), rel=5.7e-14)
 
     def test_exact_column_monotone_per_antenna_count(self, tmp_path):
         out = tmp_path / "fig1.csv"

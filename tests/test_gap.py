@@ -1,6 +1,7 @@
 import tracemalloc
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -30,8 +31,8 @@ from ewsrgap.gap import (
     taylor_gamma2_inf_zero_mean,
 )
 from ewsrgap.mc import CHUNK_SIZE, chunk_stream, complex_normal, vector_stats
-from ewsrgap.oracle import brute_force_gap, exact_e_log_miso_corr, exact_e_log_miso_iid
-from ewsrgap.special import euler_gamma, expn_scaled, harmonic
+from ewsrgap.oracle import brute_force_gap
+from ewsrgap.special import euler_gamma, harmonic
 
 
 def _mean(rng, N, M):
@@ -296,7 +297,6 @@ def _mp_miso_corr(lam, rho=None, dps=250):
     """Partial fractions in mpmath at dps digits: E ln(1 + rho x) for x a
     hyperexponential mixture, or Gamma(inf) when rho is None. Enough
     digits survive the weights' cancellation to leave 30 correct."""
-    mp = pytest.importorskip("mpmath")
     with mp.workdps(dps):
         lam = [mp.mpf(float(v)) for v in lam]
         total = mp.mpf(0)
@@ -313,6 +313,15 @@ def _mp_miso_corr(lam, rho=None, dps=250):
         if rho is None:
             return float(mp.log(sum(lam)) - total)
         return float(total)
+
+
+def _mp_miso_iid(M, rho, dps=50):
+    """E ln(1 + rho x) for x ~ Gamma(M, 1), ||h||^2 of M i.i.d. CN(0, 1)
+    entries, in mpmath at dps digits: e^{1/rho} sum_{k=1}^{M} E_k(1/rho),
+    from integrating the Gamma density against ln(1 + rho x) by parts."""
+    with mp.workdps(dps):
+        z = 1 / mp.mpf(rho)
+        return float(mp.exp(z) * mp.fsum(mp.expint(k, z) for k in range(1, M + 1)))
 
 
 class TestMisoCorrLimit:
@@ -362,18 +371,17 @@ class TestQuadformKernel:
     @pytest.mark.parametrize("rho", [1.0, 1e3, 1e6])
     def test_iid_accuracy(self, M, rho):
         got = e_log_quadform(np.ones(M), np.zeros(M), rho)
-        assert got == pytest.approx(exact_e_log_miso_iid(M, rho), rel=5.7e-14)
+        assert got == pytest.approx(_mp_miso_iid(M, rho), rel=5.7e-14)
 
     @pytest.mark.parametrize("M", [1, 2, 4, 64, 256])
     def test_iid_limit(self, M):
         assert _miso_limit(np.ones(M)) == pytest.approx(gamma_inf_miso_iid(M), abs=5e-15)
 
     def test_separated_spectra_match_partial_fractions(self):
-        # on spectra this well separated the weights keep their digits
         for lam in ([3.0, 1.0, 0.25], 3.0 * 0.6 ** np.arange(8)):
             for rho in (0.1, 1.0, 1e3, 1e6):
                 got = e_log_quadform(lam, np.zeros(len(lam)), rho)
-                assert got == pytest.approx(exact_e_log_miso_corr(lam, rho), rel=4e-13)
+                assert got == pytest.approx(_mp_miso_corr(lam, rho), rel=4e-13)
                 flipped = e_log_quadform(np.flip(lam), np.zeros(len(lam)), rho)
                 assert flipped == pytest.approx(got, rel=1e-14)
 
@@ -418,13 +426,24 @@ class TestQuadformKernel:
         assert e_log_quadform([0.0], [2.0], 4.0) == pytest.approx(np.log(9.0))
         assert e_log_quadform([0.0], [0.0], np.inf) == -np.inf
         assert e_log_quadform([2.0, 0.0], [0.0, 0.0], 1e3) == pytest.approx(
-            exact_e_log_miso_iid(1, 2e3), rel=1e-14
+            _mp_miso_iid(1, 2e3), rel=1e-14
         )
         # x = E + c with E ~ Exp(1): E ln x = ln c + e^c E_1(c)
         for c in (1e-12, 0.3, 20.0):
             got = e_log_quadform([1.0, 0.0], [0.0, c], np.inf)
-            assert got == pytest.approx(np.log(c) + expn_scaled(1, c), rel=1e-13)
+            with mp.workdps(50):
+                want = float(mp.log(c) + mp.exp(c) * mp.e1(c))
+            assert got == pytest.approx(want, rel=1e-13)
         assert e_log_quadform([1.0], [1.0], 0.0) == 0.0
+
+    def test_rho_at_the_top_of_the_float_range(self):
+        # r e^u passes the largest float on the last nodes, where the
+        # integrand 1 - phi(r e^u) has reached 1 within a rounding
+        for M, rho in [(1, 1e307), (1, 1.7e308), (4, 4e307)]:
+            got = e_log_quadform(np.ones(M), np.zeros(M), rho)
+            assert got == pytest.approx(_mp_miso_iid(M, rho), rel=5.7e-14)
+        with pytest.raises(DomainError, match="overflows"):
+            e_log_quadform(np.ones(4), np.zeros(4), 1e308)
 
     def test_rejects_bad_input(self):
         for lam, mu2 in [([-1.0], [0.0]), ([1.0], [-1.0]), ([np.nan], [0.0]), ([np.inf], [0.0])]:

@@ -94,6 +94,22 @@ class TestVectorStats:
             with pytest.raises(DomainError, match="overflow"):
                 vector_stats(2 * CHUNK_SIZE, 0, huge, workers=2, track_diffs=True)
 
+    @pytest.mark.parametrize("columns", [1, 3, 7])
+    def test_memory_order_of_the_chunk_changes_no_bit(self, columns):
+        # each column is summed on its own, so a C- and an F-ordered
+        # chunk, with a short last chunk, give the same bits
+        def stat(order):
+            def evaluate(rng, count):
+                v = np.log1p(rng.exponential(size=(count, columns)) * np.arange(1, columns + 1))
+                return np.asarray(v, order=order)
+
+            return evaluate
+
+        c = vector_stats(2 * CHUNK_SIZE + 37, 4, stat("C"), track_diffs=True)
+        f = vector_stats(2 * CHUNK_SIZE + 37, 4, stat("F"), track_diffs=True)
+        for a, b in zip(c, f):
+            assert a.tobytes() == b.tobytes()
+
     def test_paired_diff_error_smaller_than_marginals(self):
         _, se, dse = vector_stats(20_000, 3, _sum_stat, track_diffs=True)
         assert dse[0] < 0.1 * se[0]

@@ -17,7 +17,6 @@ from ewsrgap.channel import (
 from ewsrgap.errors import DimensionMismatch, DomainError, UnsupportedCase
 from ewsrgap.gap import GapSpec, gamma_rho
 from ewsrgap.mc import MonteCarloEstimate, complex_normal, vector_stats
-from ewsrgap.oracle import exact_e_log_miso_iid
 from ewsrgap.rates import (
     GAP_METHODS,
     Z_HIGH_SNR,
@@ -33,6 +32,7 @@ from ewsrgap.rates import (
 )
 from ewsrgap.special import euler_gamma
 from test_channel import link_draws
+from test_gap import _mp_miso_iid
 
 
 def _single_user_mimo(rho=4.0, n=2, seed=0):
@@ -65,7 +65,7 @@ def _orthogonal_two_user_miso():
 def _symmetric_four_user_miso(rho=100.0, M=4):
     """Four i.i.d. MISO users on orthogonal beams; the aggregate transmit
     covariance seen by each user is (rho/M) I, so every rate term has an
-    exact Gamma-variable oracle."""
+    exact Gamma-variable reference."""
     users = [
         UserConfig(serving_bs=0, rx_antennas=1, streams=1, rate_weight=1.0)
         for _ in range(M)
@@ -332,16 +332,14 @@ class TestEwsrMonteCarlo:
         # EWSR is 4 [E ln(1 + 25 g4) - E ln(1 + 25 g3)], g_m ~ Gamma(m, 1)
         sc, ps = _symmetric_four_user_miso(rho=100.0, M=4)
         est = ewsr_monte_carlo(sc, ps, 100_000, 12)
-        want = 4.0 * (
-            exact_e_log_miso_iid(4, 25.0) - exact_e_log_miso_iid(3, 25.0)
-        )
+        want = 4.0 * (_mp_miso_iid(4, 25.0) - _mp_miso_iid(3, 25.0))
         assert est.value == pytest.approx(want, abs=3 * est.std_error)
 
     def test_signal_term_matches_gamma_oracle(self):
         sc, ps = _symmetric_four_user_miso(rho=100.0, M=4)
         _, sig, intf = user_term_estimates(sc, ps, 100_000, 12)
-        want_sig = exact_e_log_miso_iid(4, 25.0)
-        want_intf = exact_e_log_miso_iid(3, 25.0)
+        want_sig = _mp_miso_iid(4, 25.0)
+        want_intf = _mp_miso_iid(3, 25.0)
         assert sig[0].value == pytest.approx(want_sig, abs=3 * sig[0].std_error)
         assert intf[0].value == pytest.approx(want_intf, abs=3 * intf[0].std_error)
 
