@@ -6,12 +6,13 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special
 
 import ewsrgap
 from ewsrgap.errors import DomainError
 from ewsrgap.gap import e_log_quadform
 from ewsrgap.mc import chunk_stream
-from ewsrgap.special import euler_gamma, harmonic
+from ewsrgap.special import _en_cf_scaled, euler_gamma, expn_scaled, harmonic
 
 
 def test_euler_gamma_value():
@@ -50,6 +51,43 @@ class TestHarmonic:
         # few ulps of H_M (bitwise equality is not reachable in doubles).
         dev = abs(harmonic(M) - harmonic(M - 1) - 1.0 / M)
         assert dev <= 4.0 * np.spacing(harmonic(M))
+
+
+class TestExpnScaled:
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    @pytest.mark.parametrize("x", [0.5, 3.0, 100.0, 599.0])
+    def test_matches_direct_product(self, n, x):
+        direct = math.exp(x) * float(scipy.special.expn(n, x))
+        assert expn_scaled(n, x) == pytest.approx(direct, rel=1e-11)
+
+    @pytest.mark.parametrize("n", [1, 3, 9])
+    def test_cf_branch_matches_direct_inside_split(self, n):
+        # the continued fraction against the direct product where scipy's
+        # E_n stays normal
+        for x in (50.0, 300.0, 599.0):
+            cf = _en_cf_scaled(n, x)
+            direct = math.exp(x) * float(scipy.special.expn(n, x))
+            assert cf == pytest.approx(direct, rel=1e-11)
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_matches_scipy_on_both_sides_of_one(self, n):
+        # the power series serves x <= 1, the continued fraction x > 1
+        xs = np.concatenate([np.geomspace(1e-8, 1.0, 25), [1.0 + 1e-12],
+                             np.geomspace(1.0 + 1e-9, 600.0, 25)])
+        got = [expn_scaled(n, x) for x in xs]
+        want = np.exp(xs) * scipy.special.expn(n, xs)
+        assert got == pytest.approx(want, rel=1e-11)
+
+    def test_huge_argument_asymptote(self):
+        # e^x E_n(x) ~ 1/(x+n); no overflow anywhere near x=1e8
+        for n in (1, 4):
+            assert expn_scaled(n, 1e8) == pytest.approx(1.0 / (1e8 + n), rel=1e-6)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            expn_scaled(0, 1.0)
+        with pytest.raises(DomainError):
+            expn_scaled(1, 0.0)
 
 
 class TestSampleGamma:
