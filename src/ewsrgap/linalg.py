@@ -7,13 +7,14 @@ surface at the boundary instead of deep inside a Monte-Carlo loop.
 ``gram`` and ``gram_log_rates`` are the batched kernels: every sampled
 Gram goes through ``gram``, and every log-det the package takes, of an
 expected Gram or of sampled ones, at any rho from 0 to +inf, through
-``gram_log_rates``. For two receive antennas both are a few whole-batch
-vector operations: ``gram`` sums the off-diagonal entry of a draw up to
-GRAM_COLUMNS_MAX columns wide column by column and takes row dot
+``gram_log_rates``. For two receive antennas ``gram`` is a few
+whole-batch vector operations: it sums the off-diagonal entry of a draw
+up to GRAM_COLUMNS_MAX columns wide column by column and takes row dot
 products of a wider one, the width rule coming with the timings it was
-read from; ``gram_log_rates`` takes a finite rho through the 2 x 2
-Cholesky (Schur complement) form of ln det(I + rho G), while rho = +inf
-keeps the closed-form eigenvalues.
+read from. ``gram_log_rates`` is one LDL^H (Cholesky) recursion over the
+rows of I/rho + G for every N, whole-batch vector operations on
+(samples, rhos) arrays; its pivot t_j adds log1p(rho t_j) at a finite
+rho and ln t_j at rho = +inf.
 
 The package's LAPACK calls and covariance-sized products run inside
 ``serial_blas``, on one OpenBLAS thread: OpenBLAS threads an eigh from
@@ -21,9 +22,9 @@ The package's LAPACK calls and covariance-sized products run inside
 about 125 ms of CPU, taken from the Monte-Carlo worker pool, which is
 the package's parallelism. While a scope is open, other threads' BLAS
 calls run on one thread too. Without OpenBLAS 0.3.27 or later it does
-nothing. The batched N x N products and eigenvalues below never reach a
-threading size and run outside it; the row dot products of a wide
-``gram`` grow with the draw's width and run inside.
+nothing. The batched N x N products below never reach a threading size
+and run outside it; the row dot products of a wide ``gram`` grow with
+the draw's width and run inside.
 """
 
 from __future__ import annotations
@@ -222,75 +223,52 @@ def gram(X: np.ndarray) -> np.ndarray:
     return G
 
 
-def _eigenvalues_2x2(G: np.ndarray) -> np.ndarray:
-    """The two eigenvalues of each Gram of a batch G of shape (n, 2, 2),
-    (n, 2), largest first, negative ones clipped to zero.
-
-    With a, d the diagonal and b the lower off-diagonal entry,
-    lambda_max = a/2 + d/2 + hypot((a - d)/2, |b|) and lambda_min =
-    (a d - |b|^2) / lambda_max, evaluated as a (d/lambda_max) -
-    |b| (|b|/lambda_max). The quotient form is more accurate on rank-one
-    Grams than (a + d)/2 - hypot, the split keeps a = d, b = 0 exact, and
-    halving before adding keeps a + d from overflowing.
-    """
-    a, d, b = G[:, 0, 0].real, G[:, 1, 1].real, np.abs(G[:, 1, 0])
-    top = np.maximum(0.5 * a + 0.5 * d + np.hypot(0.5 * (a - d), b), 0.0)
-    low = np.where(top > 0.0, a * (d / top) - b * (b / top), 0.0)
-    return np.stack([top, np.maximum(low, 0.0)], axis=1)
-
-
-def _cholesky_log_rates_2x2(G: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """ln det(I + rho G) of each 2 x 2 PSD Gram of G at each finite
-    rho >= 0 of rhos, (n, len(rhos)), from the Cholesky factor of I + rho G.
-
-    With a, d the diagonal and c the lower off-diagonal entry,
-    det(I + rho G) = (1 + rho a)(1 + rho t) for the Schur complement
-    t = d - |c|^2 rho / (1 + rho a), so the rate is
-    log1p(rho a) + log1p(rho max(t, 0)), with a clipped to zero as the
-    eigenvalues are. |c| (|c| (rho / (1 + rho a))) is at most
-    |c|^2 / a <= d and cannot overflow, nor make 0 * inf when rho a does,
-    so a rate is infinite only where rho a or rho t overflows.
-    """
-    a = np.maximum(G[:, 0, 0].real, 0.0)[:, None]
-    c = np.abs(G[:, 1, 0])[:, None]
-    rho_a = a * rhos
-    schur = G[:, 1, 1].real[:, None] - c * (c * (rhos / (1.0 + rho_a)))
-    return np.log1p(rho_a) + np.log1p(rhos * np.maximum(schur, 0.0))
-
-
 def gram_log_rates(G: np.ndarray, rhos) -> np.ndarray:
     """Per-sample ln det(I + rho G) for a PSD batch G of shape (n, N, N).
 
     Returns shape (n, len(rhos)), and each column is bit for bit that of
     a call with its rho alone. A rho of +inf stands for the high-SNR
-    offset sum ln g = ln det G over the Gram eigenvalues g, negative
-    ones clipped to zero (Lozano, Tulino & Verdu, IEEE T-IT 2005), -inf
-    for a singular G.
+    offset ln det G (Lozano, Tulino & Verdu, IEEE T-IT 2005), -inf for a
+    singular G.
 
-    N = 1 reads the diagonal and N >= 3 calls batched eigvalsh; the
-    whole rho grid comes from one set of eigenvalues per sample. For
-    N = 2 a finite rho takes the Cholesky form of
-    ``_cholesky_log_rates_2x2`` and rho = +inf the closed-form
-    eigenvalues of ``_eigenvalues_2x2``. Non-finite entries or an
-    overflowing rho G give non-finite rates, without warnings.
+    One LDL^H (Cholesky) recursion over the rows of I/rho + G, for the
+    whole batch and grid at once, gives the pivots t_j >= 0 of G's
+    Schur complements: r_jk = G_jk - sum_{m<k} r_jm (conj(r_km) w_m) and
+    t_j = max(Re G_jj - sum_{k<j} |r_jk| (|r_jk| w_k), 0). A finite rho
+    adds log1p(rho t_j) and weighs w_k = rho / (1 + rho t_k), which is 0
+    at rho = 0 and where rho t_k overflows; rho = +inf adds ln t_j and
+    weighs w_k = 1 / t_k, 0 for a zero pivot, whose column of a PSD G is
+    zero. A sample with non-finite entries gets +inf rates, an
+    overflowing rho G +inf, without warnings.
     """
     rhos = np.asarray(rhos, dtype=float)
-    N = G.shape[1]
     high = rhos == np.inf
+    n, N = G.shape[:2]
+    rates = np.zeros((n, rhos.size))
+    r, w = {}, []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # ln 0 = -inf
-        if N == 2:
-            # the +inf columns are taken at rho = 0 here and replaced below
-            rates = _cholesky_log_rates_2x2(G, np.where(high, 0.0, rhos))
-            g = _eigenvalues_2x2(G) if high.any() else None
-        else:
-            if N == 1:
-                g = np.clip(G[:, :, 0].real, 0.0, None)
-            else:
-                # eigvalsh fails on a non-finite Gram; such samples get infinite rates
-                finite = np.isfinite(G).all(axis=(1, 2))
-                g = np.full(G.shape[:2], np.inf)
-                g[finite] = np.clip(np.linalg.eigvalsh(G[finite]), 0.0, None)
-            rates = np.log1p(g[:, None, :] * rhos[None, :, None]).sum(axis=2)
-        if high.any():
-            rates[:, high] = np.log(g).sum(axis=1)[:, None]
+        for j in range(N):
+            t = G[:, j, j].real[:, None]
+            for k in range(j):
+                r[j, k] = G[:, j, k][:, None]
+                for m in range(k):
+                    r[j, k] = r[j, k] - r[j, m] * (np.conj(r[k, m]) * w[m])
+                b = np.abs(r[j, k])
+                t = t - b * (b * w[k])
+            t = np.maximum(t, 0.0)
+            rho_t = rhos * t
+            term = np.log1p(rho_t)
+            if high.any():
+                t_inf = np.broadcast_to(t, rates.shape)[:, high]
+                term[:, high] = np.log(t_inf)
+            rates += term
+            if j + 1 < N:  # the last pivot weighs no later row
+                w.append(rhos / (1.0 + rho_t))
+                if high.any():
+                    w[j][:, high] = np.divide(1.0, t_inf, out=np.zeros_like(t_inf),
+                                              where=t_inf > 0.0)
+    # a non-finite entry of a PSD G makes its sample's rates non-finite;
+    # only then is G scanned
+    if not np.isfinite(rates).all():
+        rates[~np.isfinite(G).all(axis=(1, 2))] = np.inf
     return rates

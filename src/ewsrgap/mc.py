@@ -18,12 +18,17 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, check_integer
+from .errors import DimensionMismatch, DomainError, check_integer
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
 CHUNK_SIZE = 4096
+
+# The largest sample count a run takes. 2**36, about 6.9e10 samples, is far
+# beyond any run that finishes, and the list of its 2**24 chunk sizes
+# already takes 128 MiB; a much larger count could not even be listed.
+MAX_SAMPLES = 2**36
 
 _pools: dict[int, ThreadPoolExecutor] = {}
 _pools_lock = threading.Lock()
@@ -66,13 +71,12 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def check_run(n_samples, seed, workers=1):
-    """(n_samples, seed, workers) as ints: at least 2 samples, a seed
-    >= 0 and at least one worker, else DomainError."""
-    return (
-        check_integer(n_samples, "n_samples", 2),
-        check_integer(seed, "seed", 0),
-        check_integer(workers, "workers"),
-    )
+    """(n_samples, seed, workers) as ints: 2 to MAX_SAMPLES samples, a
+    seed >= 0 and at least one worker, else DomainError."""
+    n_samples = check_integer(n_samples, "n_samples", 2)
+    if n_samples > MAX_SAMPLES:
+        raise DomainError(f"n_samples must be at most {MAX_SAMPLES}")
+    return n_samples, check_integer(seed, "seed", 0), check_integer(workers, "workers")
 
 
 def _pool(workers: int) -> ThreadPoolExecutor:
@@ -108,11 +112,12 @@ def vector_stats(n_samples, seed, evaluate, workers=1, track_diffs=False):
     """Mean and standard error of a vector-valued per-sample statistic.
 
     evaluate(rng, count) must return a (count, P) array for the chunk
-    whose generator it is handed. Returns (mean, std_error) of shape
-    (P,), plus the standard error of successive component differences
-    (shape (P-1,)) when track_diffs is set; paired per-sample diffs are
-    what make CRN sweeps resolvable. Raises DomainError when check_run
-    rejects the arguments or a sum overflows the float range. With
+    whose generator it is handed, with the same P for every chunk, else
+    DimensionMismatch. Returns (mean, std_error) of shape (P,), plus the
+    standard error of successive component differences (shape (P-1,))
+    when track_diffs is set; paired per-sample diffs are what make CRN
+    sweeps resolvable. Raises DomainError when check_run rejects the
+    arguments or a sum overflows the float range. With
     workers > 1 the chunks run on the shared pool of that size, so
     evaluate must not itself wait on vector_stats with the same worker
     count.
@@ -121,7 +126,12 @@ def vector_stats(n_samples, seed, evaluate, workers=1, track_diffs=False):
     sizes = _chunk_sizes(n_samples)
 
     def partial(i):
-        v = np.atleast_2d(np.asarray(evaluate(chunk_stream(seed, i), sizes[i])))
+        v = np.asarray(evaluate(chunk_stream(seed, i), sizes[i]))
+        if v.ndim != 2 or len(v) != sizes[i]:
+            raise DimensionMismatch(
+                f"evaluate must return a ({sizes[i]}, P) array for a chunk of"
+                f" {sizes[i]} samples, got shape {v.shape}"
+            )
         with np.errstate(over="ignore", invalid="ignore"):  # checked after the reduction
             s1 = _column_sums(v)
             s2 = _column_sums(v * v)
@@ -134,6 +144,8 @@ def vector_stats(n_samples, seed, evaluate, workers=1, track_diffs=False):
         parts = list(_pool(workers).map(partial, range(len(sizes))))
     else:
         parts = [partial(i) for i in range(len(sizes))]
+    if len(widths := {len(p[0]) for p in parts}) > 1:
+        raise DimensionMismatch(f"evaluate returned {sorted(widths)} columns in different chunks")
 
     n = float(n_samples)
 

@@ -13,11 +13,11 @@ its support (plus the mean's fixed columns outside it), mapped back to
 the user's own streams by GapSpec.basis in one product over the whole
 chunk, their Grams formed by linalg.gram and their log-dets taken by
 linalg.gram_log_rates, the kernel that also takes the ESEI's log-dets
-of the expected Grams. For two receive antennas those are whole-chunk
-vector operations: Grams by column sums up to linalg.GRAM_COLUMNS_MAX
+of the expected Grams. Both are whole-chunk vector operations: for two
+receive antennas, Grams by column sums up to linalg.GRAM_COLUMNS_MAX
 columns and by row dot products beyond (the measured crossover is
-tabulated in linalg), log-dets in the 2 x 2 Cholesky form at a finite
-rho and by the closed-form eigenvalues at rho = +inf.
+tabulated in linalg); for every N, log-dets by one LDL^H recursion,
+whose pivots t give log1p(rho t) at a finite rho and ln t at rho = +inf.
 The "monte-carlo-high-snr" gap limit is Gamma(inf)
 plus Z_HIGH_SNR standard errors, its E ln|H H^H| taken at rho = +inf
 from the Grams of the EWSR's own draws: one Monte-Carlo pass serves both.

@@ -500,6 +500,15 @@ class TestUsageErrors:
         assert err.startswith("error:") and "Permission denied" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["fig1", "--samples", "100000000000000000000000", "--tx-antennas", "1", "--snr-db", "0"],
+        ["verify", "theorems", "--scale", "1e300"],
+    ], ids=["fig1-samples", "verify-scale"])
+    def test_sample_count_above_the_bound_is_one_line_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: n_samples must be at most 68719476736\n"
+
     def test_version_exits_cleanly(self, capsys):
         assert main(["--version"]) == 0
         assert "ewsrgap" in capsys.readouterr().out

@@ -256,6 +256,11 @@ class TestGammaRho:
         est = gamma_rho(spec, 10.0, 100, 0)
         assert est.value == 0.0 and est.std_error == 0.0
 
+    def test_sample_count_above_the_bound_is_a_typed_error(self):
+        spec = GapSpec(mean=np.zeros((1, 2)), cov=np.eye(2))
+        with pytest.raises(DomainError, match="n_samples must be at most 68719476736$"):
+            gamma_rho(spec, 1.0, 10**23, 0)
+
 
 class TestMisoIidLimit:
     def test_single_antenna(self):
@@ -632,7 +637,7 @@ class TestEigenbasisSampler:
     @pytest.mark.parametrize("N, cov, rho", [
         (2, 1e306, 1e6),  # the surrogate term overflows
         (2, 5e307, 1.0),  # only sampled Grams overflow
-        (4, 5e307, 1.0),  # the same on the eigvalsh path
+        (4, 5e307, 1.0),  # the same at N = 4
     ])
     def test_gamma_rho_overflow_is_a_typed_error_without_warnings(self, N, cov, rho):
         spec = GapSpec(mean=np.zeros((N, 4)), cov=cov / N * np.eye(4))

@@ -194,8 +194,23 @@ def _gram_batch(rng, n, N, D):
 
 
 def _eigvalsh_rates(G, rhos):
-    g = np.clip(np.linalg.eigvalsh(G), 0.0, None)
-    return np.log1p(np.asarray(rhos)[None, None, :] * g[:, :, None]).sum(axis=1)
+    """ln det(I + rho G) from LAPACK's eigenvalues, negative ones clipped
+    to zero; ln det G at rho = +inf."""
+    g = np.clip(np.linalg.eigvalsh(G), 0.0, None)[:, :, None]
+    rhos = np.asarray(rhos, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(rhos == np.inf, np.log(g), np.log1p(rhos * g)).sum(axis=1)
+
+
+def _closed_form_eigenvalues_2x2(G):
+    """The two eigenvalues of each 2 x 2 Gram of G, largest first, negative
+    ones clipped to zero: lambda_max = a/2 + d/2 + hypot((a - d)/2, |b|)
+    and lambda_min = a (d/lambda_max) - |b| (|b|/lambda_max), for a, d the
+    diagonal and b the off-diagonal entry."""
+    a, d, b = G[:, 0, 0].real, G[:, 1, 1].real, np.abs(G[:, 1, 0])
+    top = np.maximum(0.5 * a + 0.5 * d + np.hypot(0.5 * (a - d), b), 0.0)
+    low = np.where(top > 0.0, a * (d / top) - b * (b / top), 0.0)
+    return np.stack([top, np.maximum(low, 0.0)], axis=1)
 
 
 def _mp_log_det(G, rho):
@@ -208,6 +223,35 @@ def _mp_log_det(G, rho):
             r = mp.mpf(rho)
             out.append(float(mp.log1p(r * (a + d) + r * r * (a * d - c2))))
     return np.array(out)
+
+
+def _mp_log_det_n(G, rho):
+    """ln det(I + rho G) of each N x N Gram of G, ln det G at rho = +inf,
+    in 50-digit mpmath."""
+    with mp.workdps(50):
+        out = []
+        for g in G:
+            A = mp.matrix([[mp.mpc(x.real, x.imag) for x in row] for row in g])
+            if rho != np.inf:
+                A = mp.eye(len(g)) + mp.mpf(rho) * A
+            out.append(float(mp.re(mp.log(mp.det(A)))))
+    return np.array(out)
+
+
+def _near_singular_grams(kind, n, N, D):
+    H = complex_normal(_rng(70), (n, N, D))
+    if kind == "rank-one":
+        H = H[:, :, :1]
+    elif kind == "nearly-equal-rows":
+        H[:, 1] = H[:, 0] + 1e-7 * H[:, 1]
+    else:
+        H[:, :, 1] *= 1e-6
+    return H @ np.conj(np.swapaxes(H, 1, 2))
+
+
+def _relative_error(got, want):
+    with np.errstate(invalid="ignore"):  # -inf against -inf
+        return np.max(np.where(got == want, 0.0, np.abs(got - want) / np.abs(want)))
 
 
 class TestGramLogRates:
@@ -242,10 +286,36 @@ class TestGramLogRates:
         rhos = np.array(self.RHOS)
         assert np.array_equal(gram_log_rates(G, rhos), 2.0 * np.log1p(rhos * a[:, None]))
 
-    @pytest.mark.parametrize("N", [1, 3])
-    def test_other_sizes_are_the_eigvalsh_path(self, N):
-        G = _gram_batch(_rng(14 + N), 512, N, 4)
-        assert np.array_equal(gram_log_rates(G, self.RHOS), _eigvalsh_rates(G, self.RHOS))
+    def test_one_by_one_is_log1p_of_the_entry(self):
+        G = _gram_batch(_rng(15), 512, 1, 4)
+        g = G[:, 0, 0].real[:, None]
+        assert np.array_equal(gram_log_rates(G, self.RHOS), np.log1p(g * np.array(self.RHOS)))
+        assert np.array_equal(gram_log_rates(G, [np.inf]), np.log(g))
+
+    @pytest.mark.parametrize("N, D", [(2, 4), (3, 8), (4, 8), (8, 16)])
+    def test_matches_a_50_digit_log_det(self, N, D):
+        # well-conditioned Grams (condition number at most 100), at finite
+        # rho and at rho = +inf
+        G = _gram_batch(_rng(80 + N), 100, N, D)
+        w = np.linalg.eigvalsh(G)
+        G = G[w[:, -1] <= 100.0 * w[:, 0]][:60]
+        assert len(G) == 60
+        for rho in (1.0, 1e3, np.inf):
+            want = _mp_log_det_n(G, rho)
+            assert _relative_error(gram_log_rates(G, [rho])[:, 0], want) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["nearly-equal-rows", "weak-column"])
+    @pytest.mark.parametrize("N", [3, 4, 8])
+    def test_near_singular_no_worse_than_eigvalsh(self, N, kind):
+        # at rho = +inf both lose the smallest eigenvalue of nearly equal
+        # rows; the recursion gives -inf on no more of those Grams
+        G = _near_singular_grams(kind, 60, N, N)
+        for rho in (1.0, 1e3, np.inf):
+            want = _mp_log_det_n(G, rho)
+            got = gram_log_rates(G, [rho])[:, 0]
+            eig = _eigvalsh_rates(G, [rho])[:, 0]
+            assert _relative_error(got, want) <= _relative_error(eig, want)
+            assert np.isinf(got).sum() <= np.isinf(eig).sum()
 
     @pytest.mark.parametrize("N", [1, 2, 4, 9])
     def test_each_column_is_its_rho_alone(self, N):
@@ -319,19 +389,11 @@ class TestGramLogRates:
         # the Schur complement of a nearly singular Gram cancels as the
         # closed-form smaller eigenvalue does; the Cholesky form's worst
         # error stays within 4 times the eigenvalue form's
-        rng = _rng(70)
-        H = complex_normal(rng, (300, 2, 2))
-        if kind == "rank-one":
-            H = H[:, :, :1]
-        elif kind == "nearly-equal-rows":
-            H[:, 1] = H[:, 0] + 1e-7 * H[:, 1]
-        else:
-            H[:, :, 1] *= 1e-6
-        G = H @ np.conj(np.swapaxes(H, 1, 2))
+        G = _near_singular_grams(kind, 300, 2, 2)
         for rho in self.RHOS:
             want = _mp_log_det(G, rho)
             got = gram_log_rates(G, [rho])[:, 0]
-            eig = np.log1p(rho * linalg._eigenvalues_2x2(G)).sum(axis=1)
+            eig = np.log1p(rho * _closed_form_eigenvalues_2x2(G)).sum(axis=1)
             assert np.max(np.abs(got - want) / want) <= 4.0 * np.max(np.abs(eig - want) / want)
 
 
@@ -478,13 +540,11 @@ def _np_linalg_calls(module):
 
 
 def test_dense_linear_algebra_runs_in_serial_blas_scopes():
-    # the one exemption: batched N x N Grams, far below OpenBLAS's threading size
-    exempt = {("linalg", "gram_log_rates", "eigvalsh")}
     calls = {module: _np_linalg_calls(module)
              for module in ("gap", "rates", "channel", "linalg", "special")}
     outside = {(m, fn, name) for m, found in calls.items() for fn, name, serial in found
                if not serial}
-    assert outside == exempt
+    assert outside == set()
     inside = {(m, fn, name) for m, found in calls.items() for fn, name, serial in found
               if serial}
     assert inside >= {("gap", "_off_support", "svd"), ("gap", "taylor_gamma2", "inv"),

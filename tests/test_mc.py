@@ -4,10 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from ewsrgap.errors import DomainError
+from ewsrgap.errors import DimensionMismatch, DomainError
 from ewsrgap.mc import (
     CHUNK_SIZE,
+    MAX_SAMPLES,
     MonteCarloEstimate,
+    check_run,
     chunk_stream,
     complex_normal,
     vector_stats,
@@ -113,6 +115,29 @@ class TestVectorStats:
     def test_paired_diff_error_smaller_than_marginals(self):
         _, se, dse = vector_stats(20_000, 3, _sum_stat, track_diffs=True)
         assert dse[0] < 0.1 * se[0]
+
+    @pytest.mark.parametrize("n_samples", [MAX_SAMPLES + 1, 10**23])
+    def test_sample_counts_above_the_bound_rejected(self, n_samples):
+        bound = f"n_samples must be at most {MAX_SAMPLES}$"
+        with pytest.raises(DomainError, match=bound):
+            vector_stats(n_samples, 0, _sum_stat)
+        assert check_run(MAX_SAMPLES, 0) == (MAX_SAMPLES, 0, 1)
+
+    @pytest.mark.parametrize("bad", [
+        lambda rng, count: rng.standard_normal(count),  # 1-d, once read as one sample
+        lambda rng, count: rng.standard_normal((1, count)),
+        lambda rng, count: rng.standard_normal((count, 2, 2)),
+    ], ids=["1-d", "transposed", "3-d"])
+    def test_malformed_statistic_rejected(self, bad):
+        with pytest.raises(DimensionMismatch, match=r"\(4096, P\) array"):
+            vector_stats(2 * CHUNK_SIZE, 1, bad)
+
+    def test_chunks_of_different_widths_rejected(self):
+        def ragged(rng, count):
+            return rng.standard_normal((count, 3 if count == CHUNK_SIZE else 1))
+
+        with pytest.raises(DimensionMismatch, match=r"\[1, 3\] columns"):
+            vector_stats(CHUNK_SIZE + 5, 1, ragged, workers=2)
 
 
 class TestComplexNormal:
