@@ -162,7 +162,7 @@ def check_precoders(scenario: IbcScenario, precoders: PrecoderSet) -> None:
         with np.errstate(over="ignore"):  # an infinite spend fails the budget below
             used[u.serving_bs] += float(np.sum(np.abs(G) ** 2))
     for j, (spent, budget) in enumerate(zip(used, scenario.power_budgets)):
-        if spent > budget + 1e-9:
+        if spent > budget * (1 + 1e-9):  # roundoff in the spend is relative to it
             raise ValidationError(
                 f"cell {j} spends power {spent:.6g} above budget {budget:.6g}"
             )

@@ -57,6 +57,7 @@ from .errors import (
 from .gap import (
     GapSpec,
     check_spec_size,
+    check_sweep_size,
     e_log_quadform,
     gamma_inf_miso_iid,
     shared_sweep,
@@ -99,11 +100,17 @@ def _parse_int_list(text: str):
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """Either 'start:stop:step' (inclusive of stop) or a comma list."""
+    """Either 'start:stop:step' (inclusive of stop) or a comma list. A
+    range is counted before it is built, and refused with its own message
+    when it has more points than one sweep takes (check_sweep_size)."""
     try:
         if ":" in text:
             start, stop, step = (float(t) for t in text.split(":"))
             step = check_positive(step, "step")
+            try:  # np.arange makes ceil((stop + step / 2 - start) / step) points
+                check_sweep_size(1, np.ceil((stop + step / 2 - start) / step))
+            except DomainError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
             grid = np.arange(start, stop + step / 2, step)
         else:
             grid = np.array([float(t) for t in text.split(",") if t.strip()])
@@ -164,6 +171,7 @@ def cmd_fig1(args) -> int:
         rho_grid = 10.0 ** (snr_db / 10.0)
     for M in args.tx_antennas:  # before any covariance, mean or draw is allocated
         check_spec_size(1, M)
+    check_sweep_size(len(args.tx_antennas), rho_grid.size)
     # every exact column first, so that a rejected rho costs no sampling
     exacts = [[_gap_exact(M, rho) for rho in rho_grid] for M in args.tx_antennas]
     specs = [GapSpec(np.zeros((1, M)), np.eye(M)) for M in args.tx_antennas]

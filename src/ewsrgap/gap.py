@@ -63,7 +63,8 @@ from .special import euler_gamma, harmonic
 # Most entries a spec's covariance or one Monte-Carlo chunk may hold:
 # max(width * width, CHUNK_SIZE * n_rx * max(n_rx, width)), 2 GiB of
 # complex doubles. It bounds the covariance and the EWSR's chunk draws
-# and Grams; the gap estimator draws in blocks of BLOCK_ENTRIES.
+# and Grams, and a sweep's values over one chunk (check_sweep_size); the
+# gap estimator draws in blocks of BLOCK_ENTRIES.
 MAX_CHUNK_ENTRIES = 2**27
 
 # Complex entries per block of gap-estimator draws: 1 MiB, which a
@@ -91,6 +92,18 @@ def check_spec_size(n_rx: int, width: int) -> None:
         raise DomainError(
             f"a {n_rx} x {width} channel needs {entries:.3g} entries in its "
             f"covariance or one Monte-Carlo chunk, above the limit of {MAX_CHUNK_ENTRIES}"
+        )
+
+
+def check_sweep_size(n_specs, n_rho) -> None:
+    """Reject a sweep of n_specs specs on n_rho SNRs whose values over one
+    Monte-Carlo chunk, CHUNK_SIZE n_specs n_rho, would exceed
+    MAX_CHUNK_ENTRIES: at most 32768 (spec, SNR) pairs. Run it before
+    allocating anything of the sweep's size."""
+    if n_specs * n_rho > MAX_CHUNK_ENTRIES // CHUNK_SIZE:
+        raise DomainError(
+            f"{n_specs} specs x {n_rho:.6g} SNRs = {n_specs * n_rho:.6g} (spec, SNR) "
+            f"pairs, above the limit of {MAX_CHUNK_ENTRIES // CHUNK_SIZE} for one sweep"
         )
 
 
@@ -323,6 +336,7 @@ def shared_sweep(
         raise DomainError("rho grid must be ascending")
     if not (specs := list(specs)):
         raise DomainError("specs must be a non-empty sequence")
+    check_sweep_size(len(specs), rhos.size)
 
     firsts = [_esei_term(spec, rhos) for spec in specs]
     # A deterministic spec (empty support) draws nothing: both terms

@@ -26,7 +26,8 @@ is drawn on its own in the same pass, after every user's draws.
 
 What is zero is the spec's to say (see GapSpec): an empty support
 makes the gap limit 0, and the zero-mean limits apply only to an
-exactly zero mean.
+exactly zero mean. A user whose stream spec has an empty support
+draws nothing in the pass: its rate terms are its exact ESEI terms.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ class SandwichBound:
     signal-term gap and gamma_kbar the interference-term gap of user k.
     method_per_user records how each user's gamma limits were obtained
     (the least exact method used for that user, in _TAG_ORDER). ewsr is
-    the call's Monte-Carlo EWSR, whose draws give the sampled limits.
+    the call's Monte-Carlo EWSR, whose draws give the sampled limits;
+    signal_terms and interference_terms are that pass's user_term_estimates.
     """
 
     lower: float
@@ -76,6 +78,8 @@ class SandwichBound:
     per_user_gamma_kbar: np.ndarray
     method_per_user: list
     ewsr: MonteCarloEstimate
+    signal_terms: list
+    interference_terms: list
 
     def __post_init__(self):
         if np.isnan([self.lower, self.esei_value, self.upper]).any():
@@ -164,13 +168,17 @@ def _monte_carlo_pass(scenario, specs, n_samples, seed, workers, sampled=()):
     is a spec, from draws of that spec made after every user's. Each
     user draws its precoded channels from its stream spec with
     GapSpec.draw, users in order, so any consumer of the same seed sees
-    the same channels, whatever it samples.
+    the same channels, whatever it samples. A user whose stream spec has
+    ``support_rank`` 0 draws nothing: its terms are its ESEI terms with
+    se 0, added to column 0 after the reduction; if no user draws, no
+    pass runs. The run arguments come checked.
     """
     K = len(specs)
     weights = [u.rate_weight for u in scenario.users]
-    own_bases = [
-        None if own == slice(0, spec.mean.shape[1]) else spec.basis[:, own]
-        for spec, own in specs
+    drawn = [
+        (k, spec, None if own == slice(0, spec.mean.shape[1]) else spec.basis[:, own])
+        for k, (spec, own) in enumerate(specs)
+        if spec.support_rank
     ]
     high = {(k, side): 1 + 2 * K + i for i, (k, side, apart) in enumerate(sampled) if not apart}
     alone = [(1 + 2 * K + i, apart) for i, (_, _, apart) in enumerate(sampled) if apart]
@@ -181,7 +189,7 @@ def _monte_carlo_pass(scenario, specs, n_samples, seed, workers, sampled=()):
         # in place: mc._column_sums copies a C-ordered chunk
         out = np.zeros((count, 1 + 2 * K + len(sampled)), order="F")
         with np.errstate(over="ignore", invalid="ignore"):  # raised after the sums
-            for k, ((spec, _), own_basis, weight) in enumerate(zip(specs, own_bases, weights)):
+            for k, spec, own_basis in drawn:
                 sides = _rate_terms(spec.draw(rng, count), own_basis, rhos[k])
                 for side, rates in enumerate(sides):
                     if (k, side) in high:
@@ -189,19 +197,23 @@ def _monte_carlo_pass(scenario, specs, n_samples, seed, workers, sampled=()):
                 sig, intf = (rates[:, 0] for rates in sides)
                 out[:, 1 + k] = sig
                 out[:, 1 + K + k] = intf
-                out[:, 0] += weight * (sig - intf)
+                out[:, 0] += weights[k] * (sig - intf)
             for col, spec in alone:
                 G = linalg.gram(spec.draw(rng, count))
                 out[:, col] = linalg.gram_log_rates(G, [np.inf])[:, 0]
         return out
 
-    mean, se, _ = vector_stats(n_samples, seed, evaluate, workers=workers)
-    return [MonteCarloEstimate(float(m), float(e), n_samples, seed) for m, e in zip(mean, se)]
-
-
-def _is_deterministic(scenario: IbcScenario) -> bool:
-    """Every link has an empty support: the channel is its mean."""
-    return all(link.support_rank == 0 for row in scenario.links for link in row)
+    mean = se = np.zeros(1 + 2 * K + len(sampled))
+    if drawn:
+        mean, se, _ = vector_stats(n_samples, seed, evaluate, workers=workers)
+    ests = [MonteCarloEstimate(float(m), float(e), n_samples, seed) for m, e in zip(mean, se)]
+    for k, pair in enumerate(specs):
+        if not pair[0].support_rank:
+            sig, intf = _esei_of([_split(*pair)])[0]
+            ests[1 + k] = MonteCarloEstimate(sig, 0.0, n_samples, seed)
+            ests[1 + K + k] = MonteCarloEstimate(intf, 0.0, n_samples, seed)
+            ests[0].value += weights[k] * (sig - intf)
+    return ests
 
 
 def ewsr_monte_carlo(
@@ -213,14 +225,10 @@ def ewsr_monte_carlo(
 ) -> MonteCarloEstimate:
     """Monte-Carlo estimate of the expected weighted sum rate.
 
-    Deterministic given (seed, n_samples) for any worker count. When
-    every link has zero covariance the channel is deterministic and its
-    exact value, the surrogate esei_wsr (the realization at the mean),
-    is returned with zero standard error.
+    Deterministic given (seed, n_samples) for any worker count: it is
+    user_term_estimates(...)[0], so esei_wsr, with zero standard error,
+    when no user's precoded streams are random.
     """
-    n_samples, seed, workers = check_run(n_samples, seed, workers)
-    if _is_deterministic(scenario):
-        return MonteCarloEstimate(esei_wsr(scenario, precoders), 0.0, n_samples, seed)
     return user_term_estimates(scenario, precoders, n_samples, seed, workers)[0]
 
 
@@ -235,12 +243,13 @@ def user_term_estimates(
 
     Returns (wsr_estimate, signal_terms, interference_terms) where the
     term lists hold one MonteCarloEstimate per user, all evaluated on
-    the same channel draws as ewsr_monte_carlo with the same seed.
+    the same channel draws. A user whose stream spec has an empty
+    support gets its esei_terms, with zero standard error.
     """
+    n_samples, seed, workers = check_run(n_samples, seed, workers)
     streams = _stream_specs(scenario, precoders, range(scenario.n_users))
     wsr, *terms = _monte_carlo_pass(scenario, streams, n_samples, seed, workers)
-    K = len(streams)
-    return wsr, terms[:K], terms[K:]
+    return wsr, terms[: len(streams)], terms[len(streams) :]
 
 
 def _esei_of(term_specs):
@@ -291,8 +300,8 @@ def _gamma_limit(eff: GapSpec, method: str):
     applies, else "monte-carlo-high-snr", never the Taylor limit, which
     is not a bound; an explicit method raises UnsupportedCase where it
     does not apply. A side left to "monte-carlo-high-snr" gets the value
-    None: its limit is sampled in the Monte-Carlo pass of _sandwich. Under
-    every method a deterministic spec (empty support,
+    None: its limit is sampled in the Monte-Carlo pass of sandwich_bounds.
+    Under every method a deterministic spec (empty support,
     GapSpec.support_rank 0) has the limit 0, and one whose H H^H is
     singular almost surely +inf, tagged "unbounded".
     """
@@ -315,11 +324,25 @@ def _gamma_limit(eff: GapSpec, method: str):
     return None, "monte-carlo-high-snr"
 
 
-def _sandwich(scenario, precoders, gamma_method, n_samples, seed, workers):
-    """sandwich_bounds, and the per-user (signal, interference) term
-    estimates of its pass, as user_term_estimates gives them at the same
-    (n_samples, seed); None for a deterministic scenario, which runs no
-    pass."""
+def sandwich_bounds(
+    scenario: IbcScenario, precoders: PrecoderSet, gamma_method: str = "auto", *,
+    n_samples: int = 100_000, seed: int = 0, workers: int = 1,
+) -> SandwichBound:
+    """Lower/upper bounds on the expected weighted sum rate.
+
+    surrogate - sum_k u_k gamma_k <= EWSR <= surrogate + sum_k u_k
+    gamma_kbar, with per-user gap limits computed on the stream specs of
+    the signal and the interference terms, the same specs the ESEI uses.
+    One Monte-Carlo pass of n_samples draws at seed, on workers threads,
+    gives the bound's ewsr and term estimates, bit for bit
+    user_term_estimates', and every sampled limit, Gamma(inf) +
+    Z_HIGH_SNR se with E ln|H H^H| taken from the Grams of the same
+    draws, or, for an interference spec whose law the user's draws miss
+    (GapSpec._draws_law_of), from its own draws in the same pass. The
+    pass runs even when every limit is closed-form, so its cost is that
+    of ewsr_monte_carlo at the same n_samples; a user whose stream spec
+    is deterministic draws nothing in it (see _monte_carlo_pass).
+    """
     n_samples, seed, workers = check_run(n_samples, seed, workers)
     streams = _stream_specs(scenario, precoders, range(scenario.n_users))
     term_specs = [_split(*pair) for pair in streams]
@@ -331,19 +354,15 @@ def _sandwich(scenario, precoders, gamma_method, n_samples, seed, workers):
         for side, spec in enumerate(pair)
         if limits[k][side][0] is None
     ]
-    K, terms = len(streams), None
-    if _is_deterministic(scenario):
-        ewsr = MonteCarloEstimate(esei, 0.0, n_samples, seed)
-    else:
-        ewsr, *terms = _monte_carlo_pass(scenario, streams, n_samples, seed, workers, sampled)
-        for (k, side, _), est in zip(sampled, terms[2 * K :]):
-            gamma = float(_esei_term(term_specs[k][side], [np.inf])[0]) - est.value
-            limits[k][side] = (max(gamma + Z_HIGH_SNR * est.std_error, 0.0), limits[k][side][1])
-        terms = terms[:K], terms[K : 2 * K]
+    K = len(streams)
+    ewsr, *terms = _monte_carlo_pass(scenario, streams, n_samples, seed, workers, sampled)
+    for (k, side, _), est in zip(sampled, terms[2 * K :]):
+        gamma = float(_esei_term(term_specs[k][side], [np.inf])[0]) - est.value
+        limits[k][side] = (max(gamma + Z_HIGH_SNR * est.std_error, 0.0), limits[k][side][1])
     gk, gkbar = (np.array([pair[side][0] for pair in limits]) for side in (0, 1))
     weights = np.array([u.rate_weight for u in scenario.users])
     used = weights != 0.0  # so that 0 * inf adds nothing instead of NaN
-    bound = SandwichBound(
+    return SandwichBound(
         lower=esei - float(weights[used] @ gk[used]),
         upper=esei + float(weights[used] @ gkbar[used]),
         esei_value=esei,
@@ -351,27 +370,6 @@ def _sandwich(scenario, precoders, gamma_method, n_samples, seed, workers):
         per_user_gamma_kbar=gkbar,
         method_per_user=[max(a[1], b[1], key=_TAG_ORDER.index) for a, b in limits],
         ewsr=ewsr,
+        signal_terms=terms[:K],
+        interference_terms=terms[K : 2 * K],
     )
-    return bound, terms
-
-
-def sandwich_bounds(
-    scenario: IbcScenario, precoders: PrecoderSet, gamma_method: str = "auto", *,
-    n_samples: int = 100_000, seed: int = 0, workers: int = 1,
-) -> SandwichBound:
-    """Lower/upper bounds on the expected weighted sum rate.
-
-    surrogate - sum_k u_k gamma_k <= EWSR <= surrogate + sum_k u_k
-    gamma_kbar, with per-user gap limits computed on the stream specs of
-    the signal and the interference terms, the same specs the ESEI uses.
-    One Monte-Carlo pass of n_samples draws at seed, on workers threads,
-    gives the bound's ewsr, bit for bit ewsr_monte_carlo's, and every
-    sampled limit, Gamma(inf) + Z_HIGH_SNR se with E ln|H H^H| taken
-    from the Grams of the same draws, or, for an interference spec
-    whose law the user's draws miss (GapSpec._draws_law_of), from its
-    own draws in the same pass. The pass runs even when every limit is
-    closed-form, so its cost is that of ewsr_monte_carlo at the same
-    n_samples. A deterministic scenario needs no pass: its ewsr is the
-    surrogate, with standard error 0.
-    """
-    return _sandwich(scenario, precoders, gamma_method, n_samples, seed, workers)[0]

@@ -37,7 +37,7 @@ from .gap import (
 )
 from .mc import chunk_stream, complex_normal, vector_stats
 from .oracle import bartlett_sample, brute_force_gap
-from .rates import _sandwich, esei_terms
+from .rates import esei_terms, sandwich_bounds
 from .special import euler_gamma, harmonic
 
 
@@ -220,7 +220,7 @@ def _check_sandwich_demo(seed, scale, workers):
     scenario, precoders = demo_scenario()
     n = max(int(50_000 * scale), 2000)
     # one pass gives the EWSR and the per-user terms of both rows
-    bound, (sig, intf) = _sandwich(scenario, precoders, "auto", n, seed, workers)
+    bound = sandwich_bounds(scenario, precoders, n_samples=n, seed=seed, workers=workers)
     wsr = bound.ewsr.value
     rows = [
         _row(
@@ -233,7 +233,7 @@ def _check_sandwich_demo(seed, scale, workers):
     ]
     worst = np.inf
     for (esei_sig, esei_int), s_est, i_est in zip(
-        esei_terms(scenario, precoders), sig, intf
+        esei_terms(scenario, precoders), bound.signal_terms, bound.interference_terms
     ):
         worst = min(worst, esei_sig - (s_est.value - 3 * s_est.std_error))
         worst = min(worst, esei_int - (i_est.value - 3 * i_est.std_error))

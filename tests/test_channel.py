@@ -200,6 +200,28 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError, match="budget"):
             check_precoders(sc, ps)
 
+    @pytest.mark.parametrize("budget, streams", [(1e9, 7), (3e12, 7), (7.7e13, 3)])
+    def test_large_budget_met_by_its_own_precoders(self, budget, streams):
+        # the spend's roundoff scales with the budget, so the slack must too
+        user = UserConfig(serving_bs=0, rx_antennas=streams, streams=streams, rate_weight=1.0)
+        sc = IbcScenario(
+            bs_antennas=[streams],
+            users=[user],
+            power_budgets=[budget],
+            links=[[GapSpec(mean=np.zeros((streams, streams)), cov=np.eye(streams))]],
+        )
+        ps = uniform_power_precoders(sc)
+        spent = sum(np.sum(np.abs(G) ** 2) for G in ps.matrices)
+        assert spent == pytest.approx(budget, rel=1e-12)
+
+    def test_overspend_of_a_tiny_budget_rejected(self):
+        from ewsrgap.channel import check_precoders
+
+        sc = _one_user_scenario(power_budget=1e-12)
+        ps = PrecoderSet([np.sqrt(5e-10) * np.eye(2, 1)])  # 500 times the budget
+        with pytest.raises(ValidationError, match="budget"):
+            check_precoders(sc, ps)
+
 
 def _one_user_scenario(bs_antennas=2, power_budget=1.0, seed=None, user=None):
     user = user or UserConfig(serving_bs=0, rx_antennas=1, streams=1, rate_weight=1.0)

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ewsrgap
 from ewsrgap.channel import (
     IbcScenario,
     PrecoderSet,
@@ -26,6 +28,7 @@ from ewsrgap.errors import EwsrgapError
 from ewsrgap.gap import GapSpec, gamma_inf_miso_iid
 from ewsrgap.rates import esei_wsr
 from test_gap import _mp_miso_iid
+from test_rates import _deterministic_streams
 
 LN2 = float(np.log(2.0))
 
@@ -38,6 +41,13 @@ def read_csv(path):
     header = lines[1].split(",")
     rows = [ln.split(",") for ln in lines[2:] if ln]
     return meta, header, rows
+
+
+def child_env():
+    """The environment of a child interpreter that imports this package
+    from where the tests import it, installed or not."""
+    src = str(Path(ewsrgap.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 def data_text(path):
@@ -92,6 +102,7 @@ class TestFig1:
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "ewsrgap.cli", "fig1", "--snr-db", "4000",
              "--tx-antennas", "1", "--samples", "100", "--out", str(tmp_path / "fig1.csv")],
+            env=child_env(),
             capture_output=True,
             text=True,
         )
@@ -166,6 +177,29 @@ class TestFig1:
                      "--out", str(tmp_path / "fig1.csv")])
         assert code == 2 and calls == []
         assert "30000" in capsys.readouterr().err
+
+    def test_oversized_snr_range_refused_before_it_is_built(self, capsys):
+        # 1e15 points: counted, not built, and refused with the limit
+        assert main(["fig1", "--snr-db=0:1e12:1e-3", "--tx-antennas", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith("1e+15 SNRs = 1e+15 (spec, SNR) pairs, above the "
+                                             "limit of 32768 for one sweep")
+
+    def test_sweep_size_checked_before_the_exact_columns(self, tmp_path, capsys, monkeypatch):
+        # two antenna counts on 20001 SNRs: each grid alone fits, the sweep not
+        def no_column(*args):
+            raise AssertionError("an exact column was computed")
+
+        monkeypatch.setattr("ewsrgap.cli._gap_exact", no_column)
+        calls = _spy_vector_stats(monkeypatch)
+        code = main(["fig1", "--snr-db=0:20000:1", "--tx-antennas", "1,2",
+                     "--out", str(tmp_path / "fig1.csv")])
+        assert code == 2 and calls == []
+        assert capsys.readouterr().err == (
+            "error: 2 specs x 20001 SNRs = 40002 (spec, SNR) pairs, above the limit of 32768"
+            " for one sweep\n"
+        )
 
     def test_stdout_default(self, capsys):
         assert main(["fig1", "--samples", "500", "--snr-db", "0",
@@ -306,6 +340,22 @@ class TestSandwich:
         assert float(r[9]) == float(r[5]) == float(r[10])  # lower = esei = upper
         assert float(r[6]) == float(r[5])  # ewsr exact
         assert float(r[7]) == 0.0
+
+    def test_deterministic_streams_contained(self, tmp_path):
+        # every link is random, but the beams miss its covariance, so the
+        # bounds collapse on the surrogate and the EWSR is that value
+        sc, ps = _deterministic_streams()
+        path = tmp_path / "streams.json"
+        save_scenario(sc, path, ps)
+        out = tmp_path / "sw.csv"
+        code = main(["sandwich", "--scenario", str(path), "--samples", "2000",
+                     "--out", str(out)])
+        assert code == 0
+        _, header, rows = read_csv(out)
+        for r in rows:
+            assert r[header.index("contained")] == "true"
+            assert r[header.index("ewsr_mc")] == r[header.index("esei_wsr")]
+            assert float(r[header.index("std_error")]) == 0.0
 
     def test_seed_flag_overrides_stored_seed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -517,6 +567,7 @@ class TestUsageErrors:
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "ewsrgap.cli", "--version"],
+        env=child_env(),
         capture_output=True,
         text=True,
     )

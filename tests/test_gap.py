@@ -908,3 +908,16 @@ class TestSharedSweep:
     def test_empty_spec_list(self):
         with pytest.raises(DomainError, match="specs"):
             shared_sweep([], [1.0], 100, 0)
+
+    def test_values_of_a_chunk_bounded_before_any_allocation(self, monkeypatch):
+        # CHUNK_SIZE values per (spec, rho) pair fill one chunk, so at most
+        # MAX_CHUNK_ENTRIES / CHUNK_SIZE = 32768 pairs fit in a sweep
+        calls = _counting(monkeypatch, "complex_normal")
+        spec = GapSpec(np.zeros((1, 2)), np.eye(2))
+        with pytest.raises(DomainError, match="40000 SNRs = 40000 .* limit of 32768"):
+            shared_sweep([spec], np.linspace(1.0, 2.0, 40_000), 2, 0)
+        with pytest.raises(DomainError, match="2 specs x 16385 SNRs"):
+            shared_sweep([spec, spec], np.linspace(1.0, 2.0, 16_385), 2, 0)
+        assert calls == []
+        (sweep,) = shared_sweep([spec], np.linspace(1.0, 2.0, 32_768), 2, 0)
+        assert len(sweep) == 32_768

@@ -222,6 +222,39 @@ def _multicell_uniform(seed=0, cells=3, per_cell=4, M=8):
     return sc, uniform_power_precoders(sc)
 
 
+def _deterministic_streams(seed=0):
+    """One 4-antenna cell with budget 2 serving two N = 2 users on one
+    stream each, with random means. Every link is random, but its
+    covariance lives on antennas 2-3, which the beams e_0 and e_1 never
+    reach: every precoded stream is its mean."""
+    rng = np.random.default_rng(seed)
+    users = [UserConfig(serving_bs=0, rx_antennas=2, streams=1, rate_weight=w) for w in (1.0, 0.7)]
+    links = []
+    for _ in users:
+        cov = np.zeros((4, 4), dtype=complex)
+        A = complex_normal(rng, (2, 2))
+        cov[2:, 2:] = A @ A.conj().T
+        links.append([GapSpec(mean=complex_normal(rng, (2, 4)), cov=cov)])
+    sc = IbcScenario(bs_antennas=[4], users=users, power_budgets=[2.0], links=links)
+    eye = np.eye(4, dtype=complex)
+    return sc, PrecoderSet([eye[:, [0]], eye[:, [1]]])
+
+
+def _mixed_streams(seed=0, users=(1,)):
+    """_two_cell_rician with the links of the given users made
+    deterministic: their stream specs have an empty support, the other
+    users' do not."""
+    sc, ps = _two_cell_rician(seed)
+    for k in users:
+        sc.links[k] = [GapSpec(link.mean, np.zeros_like(link.cov)) for link in sc.links[k]]
+    return sc, ps
+
+
+def _deterministic_links(seed=0):
+    """_two_cell_rician with every link deterministic."""
+    return _mixed_streams(seed, users=range(3))
+
+
 def _means(sc):
     return [[link.mean for link in row] for row in sc.links]
 
@@ -326,6 +359,59 @@ class TestEwsrMonteCarlo:
         sc, ps = _orthogonal_two_user_miso()
         with pytest.raises(DomainError, match=f"{name} must be an integer"):
             ewsr_monte_carlo(sc, ps, n_samples, seed, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            _deterministic_streams,
+            _deterministic_links,
+            _mixed_streams,
+            _two_cell_rician,
+            _multicell_uniform,
+        ],
+        ids=["deterministic-streams", "deterministic-links", "mixed", "two-cell-rician",
+             "multicell"],
+    )
+    def test_ewsr_is_the_first_term_estimate_bit_for_bit(self, make, workers):
+        sc, ps = make()
+        n = 2 * 4096 + 7
+        est = ewsr_monte_carlo(sc, ps, n, 4, workers=workers)
+        wsr = user_term_estimates(sc, ps, n, 4, workers=workers)[0]
+        assert (est.value.hex(), est.std_error.hex()) == (wsr.value.hex(), wsr.std_error.hex())
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_deterministic_user_draws_nothing_among_random_ones(self, workers):
+        # user 1's stream spec has an empty support, so the pass leaves it
+        # out; users 0 and 2 keep the draws of a pass over every user (an
+        # empty draw leaves the generator where it is), and user 1's terms
+        # are its surrogate terms, added to the EWSR after the reduction
+        sc, ps = _mixed_streams()
+        specs = _stream_specs(sc, ps, range(sc.n_users))
+        assert [spec.support_rank > 0 for spec, _ in specs] == [True, False, True]
+        K = sc.n_users
+
+        def every_user(rng, count):
+            out = np.zeros((count, 1 + 2 * K))
+            for k, (spec, own) in enumerate(specs):
+                own_basis = None if own == slice(0, spec.mean.shape[1]) else spec.basis[:, own]
+                sig, intf = (t[:, 0] for t in _rate_terms(spec.draw(rng, count), own_basis, [1.0]))
+                out[:, 1 + k], out[:, 1 + K + k] = sig, intf
+                if spec.support_rank:
+                    out[:, 0] += sc.users[k].rate_weight * (sig - intf)
+            return out
+
+        n = 2 * 4096 + 7
+        mean, se, _ = vector_stats(n, 4, every_user)
+        wsr, sig, intf = user_term_estimates(sc, ps, n, 4, workers=workers)
+        for k in (0, 2):
+            assert (sig[k].value, sig[k].std_error) == (mean[1 + k], se[1 + k])
+            assert (intf[k].value, intf[k].std_error) == (mean[1 + K + k], se[1 + K + k])
+        exact = esei_terms(sc, ps)[1]
+        assert (sig[1].value, intf[1].value) == exact
+        assert sig[1].std_error == intf[1].std_error == 0.0
+        assert wsr.value == mean[0] + sc.users[1].rate_weight * (exact[0] - exact[1])
+        assert wsr.std_error == se[0]
 
     def test_symmetric_scenario_matches_gamma_oracle(self):
         # aggregate Q = 25 I_4, per-user own beam 25 e_k e_k^H: the exact
@@ -796,6 +882,43 @@ class TestSandwichBounds:
         assert (sb.ewsr.value, sb.ewsr.std_error) == (esei_wsr(sc, ps), 0.0)
         assert (sb.ewsr.n_samples, sb.ewsr.seed) == (50, 3)
 
+    def test_deterministic_streams_give_the_surrogate_without_a_pass(self, monkeypatch):
+        # every link is random but no precoded stream is: the bound has
+        # width 0, and the EWSR it must hold is the surrogate itself
+        sc, ps = _deterministic_streams()
+        assert all(link.support_rank for row in sc.links for link in row)
+        monkeypatch.setattr(rates, "vector_stats", None)  # no pass may run
+        sb = sandwich_bounds(sc, ps, n_samples=2000, seed=3)
+        esei = esei_wsr(sc, ps)
+        assert sb.lower == sb.upper == esei
+        assert (sb.ewsr.value, sb.ewsr.std_error) == (esei, 0.0)
+        assert sb.contains(sb.ewsr.value)
+        for est in (ewsr_monte_carlo(sc, ps, 2000, 3), user_term_estimates(sc, ps, 2000, 3)[0]):
+            assert (est.value, est.std_error) == (esei, 0.0)
+        terms = zip(sb.signal_terms, sb.interference_terms)
+        assert [(s.value, i.value) for s, i in terms] == esei_terms(sc, ps)
+        assert all(e.std_error == 0.0 for e in sb.signal_terms + sb.interference_terms)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: load_demo_bundle()[:2], _two_cell_rician, _mixed_streams,
+         lambda: _weak_cross_links(1e10)],
+        ids=["demo", "two-cell-rician", "mixed", "cross-1e10"],
+    )
+    def test_bound_terms_are_user_term_estimates_bit_for_bit(self, make):
+        # the sampled limits, some drawn apart, add columns to the pass
+        # and move no term estimate
+        sc, ps = make()
+        n = 4096 + 9
+        sb = sandwich_bounds(sc, ps, n_samples=n, seed=6)
+        _, sig, intf = user_term_estimates(sc, ps, n, 6)
+
+        def bits(ests):
+            return [(e.value.hex(), e.std_error.hex(), e.n_samples, e.seed) for e in ests]
+
+        assert bits(sb.signal_terms) == bits(sig)
+        assert bits(sb.interference_terms) == bits(intf)
+
     @pytest.mark.parametrize(
         "make, apart",
         [
@@ -1056,4 +1179,6 @@ class TestSandwichBounds:
                 per_user_gamma_kbar=np.array([0.1]),
                 method_per_user=["closed-form"],
                 ewsr=MonteCarloEstimate(0.7, 0.0, 2, 0),
+                signal_terms=[MonteCarloEstimate(0.9, 0.0, 2, 0)],
+                interference_terms=[MonteCarloEstimate(0.2, 0.0, 2, 0)],
             )
